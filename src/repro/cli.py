@@ -29,8 +29,9 @@ Lets a user poke the reproduction without writing code:
   hands out leased chunks, workers simulate them.  ``simulate`` and
   ``explore`` accept ``--distributed HOST:PORT`` to serve their own
   campaign the same way.
-* ``status HOST:PORT`` — read-only snapshot of a running coordinator:
-  progress, fleet roster, lease table, steal/reclaim counters.
+* ``status HOST:HTTP_PORT`` — read-only snapshot of a running
+  coordinator (its ``--http-port`` ``/status``): progress, fleet
+  roster, lease table, steal/reclaim counters.
 * ``chaos --plan FILE --checkpoint-dir DIR`` — replay a seeded fault
   plan (kills, partitions, slowdowns, restarts) against an in-process
   fleet and verify the journal stays bit-identical to a serial run.
@@ -270,12 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="token-bucket burst capacity (default: ceil(client rate))",
     )
     serve.add_argument(
-        "--service-delay-ms", type=float, default=0.0,
-        help="extra milliseconds per forward pass — emulates an "
-        "expensive model so saturation benchmarks behave on a shared "
-        "machine (the serving twin of 'repro worker --sim-delay')",
-    )
-    serve.add_argument(
         "--manifest-out", default=None, metavar="FILE",
         help="write a run manifest here on shutdown (any exit path)",
     )
@@ -371,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument(
         "address", metavar="HOST:PORT", type=_host_port_arg,
-        help="coordinator address (the worker port, not --http-port)",
+        help="the coordinator's --http-port address",
     )
     top.add_argument(
         "--interval", type=float, default=1.0,
@@ -410,7 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
     slo.add_argument(
         "--status", default=None, metavar="HOST:PORT", dest="status_addr",
         type=_host_port_arg,
-        help="evaluate a live coordinator's already-computed SLO state",
+        help="evaluate a live coordinator's already-computed SLO state "
+        "(its --http-port address)",
     )
     slo.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -469,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     status.add_argument(
         "address", metavar="HOST:PORT", type=_host_port_arg,
-        help="coordinator address",
+        help="the coordinator's --http-port address",
     )
     status.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -701,7 +697,7 @@ def _coordinate(args: argparse.Namespace, runner, profiles, configs):
         if c.http_port is not None:
             print(f"observability on http://{c.host}:{c.http_port} "
                   "(/metrics /healthz /status); watch live with: "
-                  f"repro top {c.host}:{c.port}", file=sys.stderr)
+                  f"repro top {c.host}:{c.http_port}", file=sys.stderr)
 
     result = coordinator.run(
         profiles, configs, resume=args.resume, ready_callback=_ready
@@ -1168,7 +1164,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     "batch_window": args.batch_window_ms / 1000.0,
                     "cache_size": args.cache_size,
                     "queue_limit": args.queue_limit,
-                    "service_delay": args.service_delay_ms / 1000.0,
                     "max_inflight": args.max_inflight,
                     "client_rate": args.client_rate,
                     "client_burst": args.client_burst,
@@ -1190,7 +1185,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 max_inflight=args.max_inflight,
                 client_rate=args.client_rate,
                 client_burst=args.client_burst,
-                service_delay=args.service_delay_ms / 1000.0,
                 ready_callback=_ready,
             )
     finally:

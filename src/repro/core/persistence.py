@@ -11,12 +11,11 @@ round-trips the same way through :func:`save_predictor` /
 :func:`load_predictor`, which is the artifact the model registry
 (:mod:`repro.serve.registry`) publishes and the inference server loads.
 
-Format v2 archives are written through the shared checksummed artifact
-writer (:mod:`repro.runtime.artifact`): a content digest over every
-array is embedded at save time and verified at load time, so a
-truncated or bit-flipped pool fails loudly instead of hydrating into
-plausible-looking weights.  Version 1 archives (pre-checksum) are still
-readable.
+Archives are written through the shared checksummed artifact writer
+(:mod:`repro.runtime.artifact`): a content digest over every array is
+embedded at save time and verified at load time, so a truncated or
+bit-flipped pool fails loudly instead of hydrating into
+plausible-looking weights.  Only the current format version loads.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from repro.sim.metrics import Metric
 from .predictor import ArchitectureCentricPredictor
 from .program_model import ProgramSpecificPredictor
 
-#: Version 2 moved pools onto the shared checksummed artifact writer.
+#: The pool/predictor archive schema; the only version this code reads.
 _FORMAT_VERSION = 2
 
 _WEIGHT_NAMES = (
@@ -117,12 +116,10 @@ def load_models(
 
     Raises:
         ValueError: if the archive is truncated, fails its content
-            checksum (version 2+) or has an unsupported version.
+            checksum or has an unsupported version.
     """
     space = space if space is not None else DesignSpace()
-    _, payload = read_archive(
-        path, _FORMAT_VERSION, legacy_versions=(1,), label="model pool"
-    )
+    payload = read_archive(path, _FORMAT_VERSION, label="model pool")
     return _models_from_payload(payload, space)
 
 
@@ -170,7 +167,7 @@ def load_predictor(
             holds a bare pool without the fitted combiner.
     """
     space = space if space is not None else DesignSpace()
-    _, payload = read_archive(
+    payload = read_archive(
         path, _FORMAT_VERSION, label="predictor artifact"
     )
     if "combiner_weights" not in payload:

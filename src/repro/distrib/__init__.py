@@ -32,8 +32,8 @@ The design contracts:
 Public surface:
 
 * :class:`CampaignCoordinator` / :class:`CoordinatorStats` — the
-  serving side (``repro coordinator``), plus :func:`fetch_status` /
-  :func:`fetch_status_async` (``repro status``).
+  serving side (``repro coordinator``), plus :func:`fetch_status`
+  (``repro status`` over the coordinator's HTTP ``/status``).
 * :class:`CampaignWorker` / :class:`RepeatBackend` /
   :class:`CoordinatorLost` — the executing side (``repro worker``).
 * :class:`FleetMembership` / :class:`WorkerCapabilities` /
@@ -56,7 +56,6 @@ from .coordinator import (
     CampaignCoordinator,
     CoordinatorStats,
     fetch_status,
-    fetch_status_async,
 )
 from .membership import (
     FleetMembership,
@@ -66,7 +65,6 @@ from .membership import (
 )
 from .protocol import (
     MAX_FRAME_BYTES,
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     ProtocolError,
     decode_frame,
@@ -89,7 +87,6 @@ from .worker import CampaignWorker, CoordinatorLost, RepeatBackend
 
 __all__ = [
     "MAX_FRAME_BYTES",
-    "MIN_PROTOCOL_VERSION",
     "PROTOCOL_VERSION",
     "CampaignCoordinator",
     "CampaignWorker",
@@ -112,7 +109,6 @@ __all__ = [
     "detect_capabilities",
     "encode_frame",
     "fetch_status",
-    "fetch_status_async",
     "measure_calibration",
     "policy_from_wire",
     "policy_to_wire",

@@ -40,6 +40,8 @@ to a serial one regardless of worker count or interleaving.
 from __future__ import annotations
 
 import asyncio
+import http.client
+import json
 import signal
 import time
 import uuid
@@ -93,7 +95,6 @@ __all__ = [
     "CampaignCoordinator",
     "CoordinatorStats",
     "fetch_status",
-    "fetch_status_async",
 ]
 
 _log = get_logger(__name__)
@@ -528,8 +529,7 @@ class CampaignCoordinator:
         assert self._plan is not None
         cell = lease.cell
         start, stop = cell.start, cell.stop
-        message = {
-            "type": "task",
+        return {
             "lease": lease.lease_id,
             "cell": cell.cell,
             "chunk_index": cell.chunk_index,
@@ -542,16 +542,13 @@ class CampaignCoordinator:
             ),
             "policy": policy_to_wire(self.runner.retry_policy),
             "lease_timeout": self.lease_timeout,
-        }
-        if self.trace_id is not None:
-            # Optional key: a v2 worker ignores it, a v3 worker binds
-            # it so its spans stitch under the campaign trace with the
-            # coordinate span as their cross-host parent.
-            message["trace"] = {
+            # The worker binds this so its spans stitch under the
+            # campaign trace, the coordinate span as cross-host parent.
+            "trace": {
                 "trace_id": self.trace_id,
                 "parent_id": self._root_span_id,
-            }
-        return message
+            },
+        }
 
     def _issue_lease(self, worker: _WorkerState) -> Optional[Dict]:
         """Pop the next runnable cell and lease it to ``worker``."""
@@ -792,14 +789,13 @@ class CampaignCoordinator:
         hello = await read_message(reader)
         if hello is None:
             return None
-        if hello.get("type") == "status_request":
-            # A read-only observer, not a worker: answer and hang up.
-            await write_message(writer, self._status_payload())
-            return None
         if hello.get("type") != "hello":
             raise ProtocolError(
                 f"expected a hello, got {hello.get('type')!r}"
             )
+        capabilities = WorkerCapabilities.from_wire(
+            hello.get("capabilities")
+        )
         worker_id = str(hello.get("worker") or uuid.uuid4().hex[:12])
         worker = self._workers.get(worker_id)
         if worker is None:
@@ -815,11 +811,7 @@ class CampaignCoordinator:
             self.stats.workers_seen += 1
         self._connected += 1
         self.stats.joins += 1
-        self.membership.hello(
-            worker_id,
-            WorkerCapabilities.from_wire(hello.get("capabilities")),
-            time.monotonic(),
-        )
+        self.membership.hello(worker_id, capabilities, time.monotonic())
         registry = get_registry()
         registry.counter("distrib.fleet.joins").inc()
         registry.gauge("distrib.workers.connected").inc()
@@ -906,8 +898,6 @@ class CampaignCoordinator:
             stolen = self._try_steal(worker)
             if stolen is not None:
                 bundle.append(stolen)
-        if len(bundle) == 1:
-            return bundle[0]  # the pre-elastic single-task shape
         if bundle:
             return {"type": "task_bundle", "tasks": bundle}
         if self._leases or self._queue:
@@ -917,7 +907,7 @@ class CampaignCoordinator:
 
     def _on_heartbeat(self, message: Dict) -> Dict:
         """Extend every lease the heartbeat names (bundles send many)."""
-        # v3 heartbeats piggyback span batches so long tasks stream
+        # Heartbeats piggyback span batches so long tasks stream
         # their trace instead of holding it until the result frame.
         self._merge_telemetry(message.get("telemetry"))
         raw = message.get("leases")
@@ -1219,34 +1209,38 @@ class CampaignCoordinator:
         }
 
 
-async def fetch_status_async(
-    host: str, port: int, timeout: float = 10.0
-) -> Dict:
-    """Ask a live coordinator for its status snapshot.
-
-    Opens a plain protocol connection, sends ``status_request`` instead
-    of a HELLO, and returns the coordinator's answer.  Read-only: the
-    coordinator treats the caller as an observer, never a worker.
-    """
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout
-    )
-    try:
-        await write_message(writer, {"type": "status_request"})
-        reply = await asyncio.wait_for(read_message(reader), timeout)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-    if reply is None or reply.get("type") != "status":
-        raise ProtocolError(
-            "coordinator did not answer the status request"
-        )
-    return reply
-
-
 def fetch_status(host: str, port: int, timeout: float = 10.0) -> Dict:
-    """Blocking wrapper around :func:`fetch_status_async`."""
-    return asyncio.run(fetch_status_async(host, port, timeout))
+    """A live coordinator's status snapshot, read from the ``/status``
+    twin its ``--http-port`` serves.
+
+    Raises:
+        ProtocolError: when the endpoint answers with anything but a
+            status snapshot.
+        OSError: when nothing answers at ``host:port``.
+    """
+    connection = http.client.HTTPConnection(host, port, timeout=timeout)
+    try:
+        connection.request("GET", "/status")
+        response = connection.getresponse()
+        body = response.read()
+    except http.client.HTTPException as error:
+        raise ProtocolError(
+            f"{host}:{port} did not answer HTTP ({type(error).__name__});"
+            " pass the coordinator's --http-port address"
+        ) from error
+    finally:
+        connection.close()
+    try:
+        payload = json.loads(body)
+    except ValueError:
+        payload = None
+    if (
+        response.status != 200
+        or not isinstance(payload, dict)
+        or payload.get("type") != "status"
+    ):
+        raise ProtocolError(
+            f"{host}:{port}/status answered HTTP {response.status} "
+            "without a status snapshot"
+        )
+    return payload

@@ -42,6 +42,8 @@ import numpy as np
 
 from repro.obs import get_logger
 
+from .protocol import ProtocolError
+
 __all__ = [
     "WorkerCapabilities",
     "FleetMembership",
@@ -66,9 +68,9 @@ class WorkerCapabilities:
         simulate_suite: True when the worker's backend offers the
             program-major ``simulate_suite`` fast path; the coordinator
             then prefers filling that worker's bundles with same-chunk
-            cells and doubles the bundle ceiling.  Old workers never
-            send the key and decode to False — they keep getting plain
-            per-cell bundles, so mixed fleets degrade gracefully.
+            cells and doubles the bundle ceiling.  A worker whose
+            backend lacks the fast path sends False and keeps getting
+            plain per-cell bundles.
     """
 
     cores: int = 1
@@ -94,21 +96,44 @@ class WorkerCapabilities:
         }
 
     @classmethod
-    def from_wire(cls, wire: Optional[Dict]) -> "WorkerCapabilities":
-        """Decode a HELLO's capabilities; tolerant of old workers.
+    def from_wire(cls, wire: object) -> "WorkerCapabilities":
+        """Decode a HELLO's capabilities.
 
-        A pre-elastic worker sends no capabilities at all — it decodes
-        to the default (one core, unmeasured), which weights it exactly
-        like the old one-chunk-at-a-time scheduler did.
+        Raises:
+            ProtocolError: unless ``wire`` is a dict carrying every
+                field with its wire type and a valid value.
         """
         if not isinstance(wire, dict):
-            return cls()
-        return cls(
-            cores=max(1, int(wire.get("cores", 1) or 1)),
-            memory_mb=max(0, int(wire.get("memory_mb", 0) or 0)),
-            throughput=max(0.0, float(wire.get("throughput", 0.0) or 0.0)),
-            simulate_suite=bool(wire.get("simulate_suite", False)),
-        )
+            raise ProtocolError("HELLO carries no capabilities object")
+        for key, types in _WIRE_TYPES.items():
+            value = wire.get(key)
+            if not isinstance(value, types) or (
+                isinstance(value, bool) and bool not in types
+            ):
+                raise ProtocolError(
+                    f"HELLO capability {key!r} is missing or not "
+                    f"{types[-1].__name__}: {value!r}"
+                )
+        try:
+            return cls(
+                cores=wire["cores"],
+                memory_mb=wire["memory_mb"],
+                throughput=float(wire["throughput"]),
+                simulate_suite=wire["simulate_suite"],
+            )
+        except ValueError as error:
+            raise ProtocolError(
+                f"invalid HELLO capabilities: {error}"
+            ) from error
+
+
+#: Wire type(s) of each capability field (bool never counts as a number).
+_WIRE_TYPES = {
+    "cores": (int,),
+    "memory_mb": (int,),
+    "throughput": (int, float),
+    "simulate_suite": (bool,),
+}
 
 
 def measure_calibration(budget_seconds: float = 0.02) -> float:

@@ -16,11 +16,8 @@ version writing a different canonical form — is rejected as a
 version is checked on *every* frame, not just the handshake: a
 coordinator and worker from incompatible releases fail loudly on the
 first message rather than corrupting a campaign three hours in.
-Versions from :data:`MIN_PROTOCOL_VERSION` through
-:data:`PROTOCOL_VERSION` are accepted — additive vocabulary (v3's
-optional trace context and heartbeat span batches) must not strand a
-mixed fleet, so an old peer's frames still decode and its payloads
-simply lack the new optional keys ("decode to none").
+Exactly :data:`PROTOCOL_VERSION` is accepted: coordinator and workers
+ship from one release, so there is no older vocabulary to decode.
 
 Payloads are dicts with a ``"type"`` key; the coordinator and worker
 modules define the message vocabulary.  This module owns only framing,
@@ -37,7 +34,6 @@ from typing import Dict, Optional
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "MIN_PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "ProtocolError",
     "encode_frame",
@@ -46,17 +42,9 @@ __all__ = [
     "write_message",
 ]
 
-#: Bumped on any change to the envelope or message vocabulary.
-#: 2: elastic fleets — HELLO capabilities, task bundles, multi-lease
-#: heartbeats, release, status_request.
-#: 3: observability — optional trace context on task payloads,
-#: optional span batches on heartbeats, series/SLO status fields.
-PROTOCOL_VERSION = 3
-
-#: Oldest version this side still decodes.  v3 only *adds* optional
-#: payload keys, so v2 frames remain fully meaningful: a v2 worker's
-#: spans simply carry no trace context and its heartbeats no spans.
-MIN_PROTOCOL_VERSION = 2
+#: Bumped on any change to the envelope or message vocabulary.  Both
+#: sides must speak exactly this version.
+PROTOCOL_VERSION = 4
 
 #: Hard ceiling on one frame — a 128-configuration chunk of four
 #: float64 arrays is ~20 kB of JSON; 32 MiB leaves three orders of
@@ -114,16 +102,11 @@ def decode_frame(envelope: bytes) -> Dict:
     if not isinstance(message, dict):
         raise ProtocolError("frame envelope is not an object")
     version = message.get("v")
-    if (
-        not isinstance(version, int)
-        or isinstance(version, bool)
-        or not MIN_PROTOCOL_VERSION <= version <= PROTOCOL_VERSION
-    ):
+    if type(version) is not int or version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"protocol version mismatch: peer speaks {version!r}, "
-            f"this side accepts {MIN_PROTOCOL_VERSION}.."
-            f"{PROTOCOL_VERSION} — upgrade the older of "
-            "coordinator/worker"
+            f"this side speaks {PROTOCOL_VERSION} — run coordinator "
+            "and workers from the same release"
         )
     payload = message.get("payload")
     if not isinstance(payload, dict) or "type" not in payload:

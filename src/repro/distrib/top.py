@@ -1,13 +1,12 @@
 """``repro top`` — a live terminal dashboard over a coordinator.
 
-A read-only observer: each refresh asks the coordinator for the same
-status snapshot ``repro status --json`` prints (the TCP
-``status_request``, so it works with or without ``--http-port``) and
-renders fleet membership, per-worker throughput sparklines, campaign
-progress and SLO burn as a compact ANSI screen.  ``--once`` renders a
-single plain-text frame to stdout — the CI/scripting mode — and the
-live mode degrades to exactly that frame when the terminal has no
-ANSI support.
+A read-only observer: each refresh reads the same status snapshot
+``repro status --json`` prints (the ``/status`` twin the coordinator
+serves on its ``--http-port``) and renders fleet membership, per-worker
+throughput sparklines, campaign progress and SLO burn as a compact
+ANSI screen.  ``--once`` renders a single plain-text frame to stdout —
+the CI/scripting mode — and the live mode degrades to exactly that
+frame when the terminal has no ANSI support.
 
 The dashboard owns *presentation only*: every number it shows comes
 from the coordinator's status payload (roster rates, the sampler's
@@ -172,8 +171,7 @@ class TopSession:
     """State between refreshes: rate history and throughput deltas.
 
     Args:
-        host / port: Coordinator address (the TCP protocol port, not
-            ``--http-port``).
+        host / port: The coordinator's ``--http-port`` address.
         timeout: Per-snapshot fetch timeout in seconds.
     """
 

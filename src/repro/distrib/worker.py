@@ -415,14 +415,11 @@ class CampaignWorker:
             if kind == "wait":
                 await asyncio.sleep(float(reply.get("delay", 0.1)))
                 continue
-            if kind == "task":
-                tasks: List[dict] = [reply]
-            elif kind == "task_bundle":
-                tasks = list(reply.get("tasks") or ())
-                if not tasks:
-                    raise ProtocolError("received an empty task bundle")
-            else:
+            if kind != "task_bundle":
                 raise ProtocolError(f"unexpected reply type {kind!r}")
+            tasks: List[dict] = list(reply.get("tasks") or ())
+            if not tasks:
+                raise ProtocolError("received an empty task bundle")
             await self._run_bundle(
                 reader, writer, tasks, heartbeat_interval
             )
@@ -508,15 +505,10 @@ class CampaignWorker:
         configs = configs_from_wire(task["configs"])
         policy = policy_from_wire(task["policy"])
         retry_seed = int(task["retry_seed"])
-        # Adopt the coordinator's trace context (absent from a
-        # pre-trace-context coordinator — then spans stay contextless
-        # and the coordinator's adopt() stamps its own trace id).
-        context = task.get("trace")
-        if isinstance(context, dict):
-            self._tracer.bind(
-                trace_id=context.get("trace_id"),
-                parent_id=context.get("parent_id"),
-            )
+        context = task["trace"]
+        self._tracer.bind(
+            trace_id=context["trace_id"], parent_id=context["parent_id"]
+        )
         attempts = 0
         cached = (
             suite_cache.pop(cell, None)

@@ -32,19 +32,6 @@ from .reporting import (
     format_table,
     scale_banner,
 )
-# The search strategies moved to repro.search (PR 9); re-exported here
-# so historical imports keep working.  `.search` itself is now a
-# deprecation shim over repro.search.strategies.
-from repro.search.strategies import (
-    RankedCandidate,
-    SearchResult,
-    TradeOffPoint,
-    dominated_fraction,
-    hill_climb,
-    pareto_front,
-    predicted_best,
-    simulated_annealing,
-)
 
 __all__ = [
     "AccuracyModel",
@@ -54,22 +41,15 @@ __all__ = [
     "MotivationResult",
     "SweepPoint",
     "SweepResult",
-    "RankedCandidate",
-    "SearchResult",
-    "TradeOffPoint",
     "amortisation_curve",
     "ascii_bar_chart",
     "comparison_sweep",
-    "dominated_fraction",
     "drift_sweep",
     "expected_rmae",
     "fit_accuracy_model",
-    "hill_climb",
     "load_dataset",
     "measure_operating_points",
-    "pareto_front",
     "plan_budget",
-    "predicted_best",
     "save_dataset",
     "format_series",
     "format_table",
@@ -78,7 +58,6 @@ __all__ = [
     "noise_sweep",
     "response_sweep",
     "scale_banner",
-    "simulated_annealing",
     "spec_error_experiment",
     "training_programs_sweep",
     "training_size_sweep",

@@ -14,9 +14,7 @@ the serving registry: a SHA-256 content digest over every entry is
 embedded at save time and verified at load time, so a truncated
 download, a bit flip or a hand-edited matrix fails loudly with
 :class:`ValueError` — a corrupted archive can never hydrate into a
-plausible-looking dataset.  Version 2 archives (which carried their own
-narrower checksum over the configurations and metric matrices) are
-still readable and still verified.
+plausible-looking dataset.  Only the current format version loads.
 """
 
 from __future__ import annotations
@@ -28,25 +26,14 @@ import numpy as np
 
 from repro.designspace.configuration import PARAMETER_ORDER, Configuration
 from repro.runtime.artifact import read_archive, write_archive
-from repro.runtime.integrity import array_checksum
 from repro.sim.interval import IntervalSimulator
 from repro.sim.metrics import Metric
 from repro.workloads.suite import BenchmarkSuite
 
 from .dataset import DesignSpaceDataset
 
-#: Version 3 moved datasets onto the shared artifact writer, whose
-#: digest also covers the suite name, program list and entry names.
+#: The dataset archive schema; the only version this code reads.
 _FORMAT_VERSION = 3
-
-#: Version 2 archives carry a narrower digest over the configuration
-#: matrix and the metric matrices only (in :meth:`Metric.all` order).
-_LEGACY_VERSION = 2
-
-
-def _legacy_checksum(configs: np.ndarray, matrices) -> str:
-    """The version-2 digest (configurations + metric matrices)."""
-    return array_checksum(configs, *matrices)
 
 
 def save_dataset(
@@ -91,13 +78,7 @@ def load_dataset(
             fails its content checksum, or does not match the supplied
             suite.
     """
-    path = pathlib.Path(path)
-    version, payload = read_archive(
-        path,
-        _FORMAT_VERSION,
-        legacy_versions=(_LEGACY_VERSION,),
-        label="dataset archive",
-    )
+    payload = read_archive(path, _FORMAT_VERSION, label="dataset archive")
     suite_name = str(payload["suite_name"])
     programs = [str(name) for name in payload["programs"]]
     if suite.name != suite_name:
@@ -119,13 +100,6 @@ def load_dataset(
                 f"expected {(len(programs), len(config_matrix))}"
             )
         matrices.append(matrix)
-    if version == _LEGACY_VERSION:
-        expected = str(payload["checksum"])
-        if _legacy_checksum(config_matrix, matrices) != expected:
-            raise ValueError(
-                f"dataset archive {path} failed its content checksum "
-                "(the file was corrupted or tampered with)"
-            )
     configs = [
         Configuration(**dict(zip(PARAMETER_ORDER, row)))
         for row in config_matrix.tolist()

@@ -15,8 +15,7 @@ instead of hiding it (no coordinated omission).
 Per-request outcomes land in the process metrics registry
 (``load_requests{stage,kind,outcome}``, ``load_request_seconds``), so
 ``repro slo check`` gates a load run the same way it gates a campaign.
-``repro load --plan`` is the CLI entry; ``benchmarks/bench_load.py``
-sweeps offered load through saturation with it.
+``repro load --plan`` is the CLI entry.
 """
 
 from .arrivals import ARRIVAL_KINDS, arrival_offsets

@@ -21,11 +21,14 @@ import json
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 __all__ = [
+    "BadRequest",
     "ObservabilityEndpoint",
     "PROMETHEUS_CONTENT_TYPE",
     "dump_json",
     "json_error",
     "read_request",
+    "reject_bad_request",
+    "wants_keep_alive",
     "write_response",
 ]
 
@@ -46,12 +49,22 @@ _REASONS = {
 RouteHandler = Callable[[], Tuple[int, bytes, str]]
 
 
+class BadRequest(ValueError):
+    """A malformed client request, answered with a 400 and this message."""
+
+
 async def read_request(
     reader: asyncio.StreamReader, max_body: int = MAX_BODY
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
     """Parse one HTTP/1.1 request; ``None`` on a cleanly closed
     connection.  Returns ``(method, target, headers, body)`` with the
-    method upper-cased and header names lower-cased."""
+    method upper-cased and header names lower-cased; header values keep
+    their case.
+
+    Raises:
+        BadRequest: on a ``Content-Length`` that is not a decimal
+            byte count.
+    """
     try:
         request_line = await reader.readline()
     except (ConnectionError, asyncio.LimitOverrunError):
@@ -68,12 +81,20 @@ async def read_request(
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip().lower()
-    length = int(headers.get("content-length", "0") or "0")
+        headers[name.strip().lower()] = value.strip()
+    raw_length = headers.get("content-length") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise BadRequest(f"malformed Content-Length {raw_length!r}")
+    length = int(raw_length)
     if length > max_body:
         raise ConnectionError("request body too large")
     body = await reader.readexactly(length) if length else b""
     return method.upper(), target, headers, body
+
+
+def wants_keep_alive(headers: Mapping[str, str]) -> bool:
+    """False when the client sent ``Connection: close`` (any case)."""
+    return headers.get("connection", "keep-alive").lower() != "close"
 
 
 def write_response(
@@ -125,6 +146,17 @@ def json_error(
     )
 
 
+async def reject_bad_request(
+    writer: asyncio.StreamWriter, error: BadRequest
+) -> None:
+    """Answer a request :func:`read_request` refused: 400, then close."""
+    status, payload, content_type, extra = json_error(400, str(error))
+    write_response(
+        writer, status, payload, content_type, keep_alive=False, extra=extra
+    )
+    await writer.drain()
+
+
 class ObservabilityEndpoint:
     """A read-only GET-routed asyncio HTTP sidecar.
 
@@ -173,7 +205,11 @@ class ObservabilityEndpoint:
         self._connections.add(writer)
         try:
             while True:
-                request = await read_request(reader)
+                try:
+                    request = await read_request(reader)
+                except BadRequest as error:
+                    await reject_bad_request(writer, error)
+                    break
                 if request is None:
                     break
                 method, target, headers, _body = request
@@ -196,9 +232,7 @@ class ObservabilityEndpoint:
                         status, payload, content_type, extra = json_error(
                             500, f"handler failed: {error}"
                         )
-                keep_alive = (
-                    headers.get("connection", "keep-alive") != "close"
-                )
+                keep_alive = wants_keep_alive(headers)
                 write_response(
                     writer, status, payload, content_type,
                     keep_alive=keep_alive, extra=extra,

@@ -29,8 +29,8 @@ tracer owns a ``trace_id`` — the campaign-wide trace id.  A distributed
 coordinator generates the trace id, ships ``{trace_id, parent_id}``
 with each task, and the worker binds it so the spans it sends back
 stitch under one trace; :meth:`Tracer.adopt` stamps the local trace id
-onto adopted spans that lack one, so pre-trace-context peers still land
-in the same trace.  A tracer constructed with a ``lane`` stamps it on
+onto adopted spans that lack one, so spans from process-pool children
+(which never see the trace context) still land in the same trace.  A tracer constructed with a ``lane`` stamps it on
 every span, and :meth:`Tracer.to_chrome_events` renders each lane as
 its own named process row — one lane per worker, across hosts.
 """
@@ -231,8 +231,8 @@ class Tracer:
         """Fold spans shipped from another tracer (usually a worker).
 
         Adopted spans missing a ``trace_id`` are stamped with this
-        tracer's — how spans from peers that predate trace context
-        (old workers, process-pool children) still stitch into the
+        tracer's — how spans from process-pool children of ``--jobs``
+        runs, which never see the trace context, still stitch into the
         campaign's single trace.
         """
         for record in spans:

@@ -11,7 +11,8 @@ the model registry, now build on.
 
 An archive written by :func:`write_archive` carries two reserved keys:
 
-* ``format_version`` — the caller's schema version, checked on read;
+* ``format_version`` — the caller's schema version; a read accepts
+  exactly the version the calling code writes;
 * ``checksum`` — a SHA-256 digest over every other entry's *name*,
   dtype, shape and bytes, recomputed and compared on read.
 
@@ -29,7 +30,7 @@ import os
 import pathlib
 import zipfile
 import zlib
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Union
 
 import numpy as np
 
@@ -112,25 +113,22 @@ def write_archive(
 
 def read_archive(
     path: Union[str, pathlib.Path],
-    current_version: int,
-    legacy_versions: Sequence[int] = (),
+    format_version: int,
     label: str = "archive",
-) -> Tuple[int, Dict[str, np.ndarray]]:
+) -> Dict[str, np.ndarray]:
     """Load and verify an archive written by :func:`write_archive`.
 
     Args:
         path: The ``.npz`` archive.
-        current_version: The schema version this code writes; archives
-            at this version must carry a matching content checksum.
-        legacy_versions: Older versions still accepted.  Their payload
-            is returned *unverified* — the caller owns whatever
-            integrity story those formats had (or lacked).
+        format_version: The schema version this code writes — the only
+            one it reads.  The archive must also carry a matching
+            content checksum.
         label: Human-facing artefact kind for error messages
             ("dataset archive", "model pool", ...).
 
     Returns:
-        ``(version, payload)`` with every array materialised and the
-        reserved keys stripped from the payload.
+        The payload with every array materialised and the reserved keys
+        stripped.
 
     Raises:
         ValueError: on a truncated or unreadable file, an unsupported
@@ -152,20 +150,16 @@ def read_archive(
             f"corrupt or truncated {label} {path}: no format version"
         )
     version = int(payload.pop(FORMAT_KEY))
-    accepted = {int(current_version), *(int(v) for v in legacy_versions)}
-    if version not in accepted:
+    if version != int(format_version):
         raise ValueError(f"unsupported {label} format version {version}")
-    if version == int(current_version):
-        recorded = payload.pop(CHECKSUM_KEY, None)
-        if recorded is None:
-            raise ValueError(
-                f"corrupt or truncated {label} {path}: no checksum"
-            )
-        if payload_checksum(payload) != str(recorded):
-            raise ValueError(
-                f"{label} {path} failed its content checksum "
-                "(the file was corrupted or tampered with)"
-            )
-    # Legacy versions keep their "checksum" entry (if any) in the
-    # payload: its digest semantics belong to the caller's old format.
-    return version, payload
+    recorded = payload.pop(CHECKSUM_KEY, None)
+    if recorded is None:
+        raise ValueError(
+            f"corrupt or truncated {label} {path}: no checksum"
+        )
+    if payload_checksum(payload) != str(recorded):
+        raise ValueError(
+            f"{label} {path} failed its content checksum "
+            "(the file was corrupted or tampered with)"
+        )
+    return payload

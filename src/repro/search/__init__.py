@@ -21,8 +21,7 @@ Public surface:
 * :func:`pick_response_indices` — active-learning response selection
   beating the paper's random R = 32 draw at equal budget.
 * The classic one-shot strategies (:func:`hill_climb`,
-  :func:`simulated_annealing`, :func:`pareto_front`, ...) migrated
-  from ``repro.exploration.search``.
+  :func:`simulated_annealing`, :func:`pareto_front`, ...).
 """
 
 from .agents import (
@@ -52,7 +51,6 @@ from .pareto import (
 )
 from .responses import (
     RESPONSE_STRATEGIES,
-    ensemble_disagreement,
     pick_response_indices,
 )
 from .runner import SearchOutcome, run_search, write_frontier
@@ -91,7 +89,6 @@ __all__ = [
     "TradeOffPoint",
     "dominated_fraction",
     "dominated_fraction_nd",
-    "ensemble_disagreement",
     "hill_climb",
     "hypervolume",
     "make_agent",

@@ -22,35 +22,16 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.active import model_disagreement, select_responses
+from repro.core.active import select_responses
 from repro.designspace.configuration import Configuration
 
 __all__ = [
     "RESPONSE_STRATEGIES",
-    "ensemble_disagreement",
     "pick_response_indices",
 ]
 
 #: Strategies accepted by :func:`pick_response_indices`.
 RESPONSE_STRATEGIES = ("disagreement", "random", "hybrid")
-
-
-def ensemble_disagreement(
-    models: Sequence,
-    configs: Sequence[Configuration],
-) -> np.ndarray:
-    """Per-configuration disagreement across the model ensemble.
-
-    The standard deviation of the members' log10 predictions — the
-    uncertainty signal behind the ``disagreement`` strategy.  Rides the
-    stacked-ensemble batched forward pass when the pool stacks, with a
-    bit-identical per-model fallback otherwise.
-
-    Args:
-        models: Trained per-program predictors.
-        configs: Configurations to score.
-    """
-    return model_disagreement(models, configs)
 
 
 def pick_response_indices(

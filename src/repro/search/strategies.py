@@ -1,11 +1,9 @@
-"""Classic predictor-guided search strategies (migrated home).
+"""Classic predictor-guided search strategies.
 
-These are the original one-shot strategies from
-``repro.exploration.search`` — candidate-scan ranking, steepest-descent
-hill climbing, simulated annealing and the two-metric Pareto sweep —
-now living in the search subsystem beside their gym-style successors
-(:mod:`repro.search.env` + :mod:`repro.search.agents`).  The old import
-path keeps working through a deprecation shim.
+The original one-shot strategies — candidate-scan ranking,
+steepest-descent hill climbing, simulated annealing and the two-metric
+Pareto sweep — living in the search subsystem beside their gym-style
+successors (:mod:`repro.search.env` + :mod:`repro.search.agents`).
 
 All strategies work with anything exposing ``predict(configs)`` — the
 architecture-centric predictor, a program-specific predictor, or (for

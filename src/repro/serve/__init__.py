@@ -16,8 +16,8 @@ infrastructure, dependency-free:
 * :class:`PredictionBatcher` / :class:`LRUCache` — the coalescing
   machinery, usable without the HTTP layer.
 * :class:`PredictionClient` — a small blocking client for benchmarks,
-  smoke tests and scripts, with seeded full-jitter 503 retries and
-  transparent stale keep-alive recovery.
+  smoke tests and scripts, with transparent stale keep-alive
+  recovery.
 * :class:`AdmissionController` / :class:`TokenBucket` — per-client
   token-bucket quotas plus a global in-flight cap, shedding load with
   503 + ``Retry-After`` *before* queueing delay collapses latency.

@@ -100,11 +100,6 @@ class PredictionBatcher:
         cache_size: LRU prediction-cache entries (0 disables).
         queue_limit: Bound on parked requests; beyond it
             :meth:`predict_one` raises :class:`ServerSaturated`.
-        forward_delay: Extra seconds slept inside each forward pass
-            (in the executor thread, so the event loop stays live).
-            Emulates an expensive model so saturation and scaling
-            benchmarks behave on a shared test machine — the serving
-            twin of ``repro worker --sim-delay``.
     """
 
     def __init__(
@@ -114,7 +109,6 @@ class PredictionBatcher:
         batch_window: float = 0.002,
         cache_size: int = 4096,
         queue_limit: int = 1024,
-        forward_delay: float = 0.0,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
@@ -122,13 +116,10 @@ class PredictionBatcher:
             raise ValueError("batch_window must be non-negative")
         if queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
-        if forward_delay < 0:
-            raise ValueError("forward_delay must be non-negative")
         self._predictor = predictor
         self.max_batch = max_batch
         self.batch_window = batch_window
         self.queue_limit = queue_limit
-        self.forward_delay = forward_delay
         self.cache = LRUCache(cache_size)
         self._queue: Optional[asyncio.Queue] = None
         self._collector: Optional[asyncio.Task] = None
@@ -281,8 +272,6 @@ class PredictionBatcher:
     def _forward(self, configs: Sequence[Configuration]):
         """The worker-thread forward pass, wrapped in a span."""
         with span("serve.batch.predict", size=len(configs)):
-            if self.forward_delay > 0:
-                time.sleep(self.forward_delay)
             return self._predictor.predict_invariant(configs)
 
 

@@ -6,28 +6,20 @@ client owns one keep-alive connection and is **not** thread-safe; give
 each thread its own instance (connections are cheap, and that is
 exactly what the load generator does to model independent clients).
 
-Two production niceties:
-
-* **Stale keep-alive recovery** — a server may close an idle
-  keep-alive connection at any time (drain does, and so do proxies);
-  the client reconnects and retries transparently instead of
-  surfacing a ``ConnectionError`` for a request that never reached a
-  live server.
-* **Seeded 503 retries** — with ``retries > 0`` a 503 response is
-  retried after honouring the server's ``Retry-After`` hint plus a
-  bounded *full-jitter* backoff drawn from a seeded generator, so a
-  fleet of clients with distinct seeds de-synchronises instead of
-  thundering back in lockstep — and a test with the same seed replays
-  the same delays.  ``retries=0`` (the default) keeps the original
-  fail-fast behaviour.
+**Stale keep-alive recovery**: a server may close an idle keep-alive
+connection at any time (drain does, and so do proxies); the client
+reconnects and retries transparently instead of surfacing a
+``ConnectionError`` for a request that never reached a live server.
+Any non-200 answer — a shed 503 included — raises :class:`ServerError`
+at once, carrying the server's ``Retry-After`` hint for the caller's
+own retry policy (:class:`repro.runtime.RetryPolicy` is the one this
+package uses).
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import random
-import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = ["PredictionClient", "ServerError"]
@@ -35,10 +27,6 @@ __all__ = ["PredictionClient", "ServerError"]
 #: A request configuration: a full 13-value list/tuple in Table 1
 #: order, or a (possibly partial) parameter mapping.
 ConfigLike = Union[Sequence[int], Dict[str, int]]
-
-#: First-retry backoff ceiling in seconds; doubles per attempt (full
-#: jitter draws uniformly from [0, ceiling]).
-_RETRY_BASE = 0.05
 
 
 class ServerError(RuntimeError):
@@ -61,11 +49,6 @@ class PredictionClient:
         host: Server host.
         port: Server port.
         timeout: Socket timeout in seconds for each request.
-        retries: Most 503 retries per request (0 fails fast).
-        retry_seed: Seed for the full-jitter backoff stream; give each
-            client in a fleet a distinct seed.
-        max_retry_wait: Backoff ceiling in seconds (the server's
-            ``Retry-After`` hint is honoured on top).
         client_id: Sent as ``X-Client-Id`` on every request, keying
             the server's per-client admission quota (default: the
             server falls back to the peer address).
@@ -76,22 +59,12 @@ class PredictionClient:
         host: str,
         port: int,
         timeout: float = 30.0,
-        retries: int = 0,
-        retry_seed: int = 0,
-        max_retry_wait: float = 5.0,
         client_id: Optional[str] = None,
     ) -> None:
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
-        if max_retry_wait <= 0:
-            raise ValueError("max_retry_wait must be positive")
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.retries = retries
-        self.max_retry_wait = max_retry_wait
         self.client_id = client_id
-        self._retry_rng = random.Random(retry_seed)
         self._connection: Optional[http.client.HTTPConnection] = None
 
     # ------------------------------------------------------------------
@@ -174,34 +147,21 @@ class PredictionClient:
     # ------------------------------------------------------------------
     def _request(self, method: str, path: str,
                  body: Optional[str] = None) -> Dict:
-        for attempt in range(self.retries + 1):
-            status, headers, raw = self._raw_request(method, path, body)
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                payload = {"error": raw.decode("utf-8", "replace")}
-            if status == 200:
-                return payload
-            retry_after = _float_or_none(headers.get("Retry-After"))
-            if status == 503 and attempt < self.retries:
-                time.sleep(self._retry_delay(attempt, retry_after))
-                continue
-            raise ServerError(
-                status,
-                str(payload.get("error", "unexpected response")),
-                retry_after=retry_after,
-                request_id=(
-                    payload.get("request_id")
-                    or headers.get("X-Request-Id")
-                ),
-            )
-        raise AssertionError("unreachable: the retry loop always returns")
-
-    def _retry_delay(self, attempt: int, retry_after: Optional[float]) -> float:
-        """Honour the server's hint, then add seeded full jitter."""
-        ceiling = min(self.max_retry_wait, _RETRY_BASE * (2 ** attempt))
-        jitter = self._retry_rng.uniform(0.0, ceiling)
-        return (retry_after or 0.0) + jitter
+        status, headers, raw = self._raw_request(method, path, body)
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            payload = {"error": raw.decode("utf-8", "replace")}
+        if status == 200:
+            return payload
+        raise ServerError(
+            status,
+            str(payload.get("error", "unexpected response")),
+            retry_after=_float_or_none(headers.get("Retry-After")),
+            request_id=(
+                payload.get("request_id") or headers.get("X-Request-Id")
+            ),
+        )
 
     def _raw_request(
         self, method: str, path: str, body: Optional[str] = None

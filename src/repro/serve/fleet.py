@@ -80,7 +80,7 @@ class ServingFleet:
         model_info: Identity dict forwarded to every worker.
         server_options: Keyword arguments for each worker's
             :class:`PredictionServer` (``max_batch``, ``cache_size``,
-            ``service_delay``, ...) plus the admission scalars
+            ...) plus the admission scalars
             ``max_inflight`` / ``client_rate`` / ``client_burst``,
             from which each worker builds its own
             :class:`~repro.serve.admission.AdmissionController`
@@ -125,6 +125,7 @@ class ServingFleet:
             raise RuntimeError("SO_REUSEPORT is not available here")
         self._ctx = multiprocessing.get_context("fork")
         self._processes: List = []
+        self._signalled: set = set()
         self._placeholder: Optional[socket.socket] = None
         self._listener: Optional[socket.socket] = None
         self._snapshot_dir: Optional[str] = None
@@ -201,9 +202,15 @@ class ServingFleet:
         return sum(1 for p in self._processes if p.is_alive())
 
     def begin_drain(self) -> None:
-        """Relay SIGTERM to every live worker (they drain gracefully)."""
+        """Relay SIGTERM to every live worker (they drain gracefully).
+
+        Each worker is signalled once: a repeat SIGTERM could land after
+        its event loop closed and kill it before it writes its
+        telemetry snapshot.
+        """
         for process in self._processes:
-            if process.is_alive() and process.pid:
+            if process.is_alive() and process.pid not in self._signalled:
+                self._signalled.add(process.pid)
                 try:
                     os.kill(process.pid, signal.SIGTERM)
                 except ProcessLookupError:

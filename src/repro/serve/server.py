@@ -47,9 +47,12 @@ from repro.designspace.space import DesignSpace
 from repro.obs import get_logger, get_registry, span
 from repro.obs.http import (
     PROMETHEUS_CONTENT_TYPE,
+    BadRequest,
     dump_json as _dump,
     json_error as _json_error,
     read_request as _read_request,
+    reject_bad_request,
+    wants_keep_alive,
     write_response as _write_response,
 )
 
@@ -70,10 +73,6 @@ _MAX_SEARCH_BATCH = 256
 _MAX_SEARCHES_INFLIGHT = 2
 
 
-class _BadRequest(ValueError):
-    """A client error that should become a 400 with this message."""
-
-
 class PredictionServer:
     """The asyncio HTTP service wrapping a fitted predictor.
 
@@ -92,9 +91,6 @@ class PredictionServer:
             ``/predict`` and ``/search`` (never ``/healthz`` or
             ``/metrics``); refused requests get ``503`` with a
             ``Retry-After`` hint.
-        service_delay: Extra seconds per forward pass (executor-side);
-            emulates an expensive model for saturation and scaling
-            studies (``--service-delay-ms``).
         sock: A pre-bound listening socket to serve on instead of
             binding ``host:port`` — how the shared-socket fleet
             fallback hands one accept queue to every worker.
@@ -115,7 +111,6 @@ class PredictionServer:
         cache_size: int = 4096,
         queue_limit: int = 1024,
         admission: Optional[AdmissionController] = None,
-        service_delay: float = 0.0,
         sock: Optional[socket.socket] = None,
         reuse_port: bool = False,
     ) -> None:
@@ -131,7 +126,6 @@ class PredictionServer:
             batch_window=batch_window,
             cache_size=cache_size,
             queue_limit=queue_limit,
-            forward_delay=service_delay,
         )
         self.admission = admission
         self._sock = sock
@@ -230,7 +224,12 @@ class PredictionServer:
         peer_ip = peer[0] if isinstance(peer, tuple) and peer else "unknown"
         try:
             while True:
-                request = await _read_request(reader)
+                try:
+                    request = await _read_request(reader)
+                except BadRequest as error:
+                    registry.counter("serve.requests", status="400").inc()
+                    await reject_bad_request(writer, error)
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -259,8 +258,7 @@ class PredictionServer:
                         "serve.requests", status=str(status)
                     ).inc()
                     keep_alive = (
-                        headers.get("connection", "keep-alive") != "close"
-                        and not self._draining
+                        wants_keep_alive(headers) and not self._draining
                     )
                     _write_response(
                         writer, status, payload, content_type,
@@ -373,7 +371,7 @@ class PredictionServer:
             )
         try:
             configs = self._parse_configs(body)
-        except _BadRequest as error:
+        except BadRequest as error:
             return _json_error(400, str(error), request_id=request_id)
         try:
             values = await asyncio.gather(
@@ -418,7 +416,7 @@ class PredictionServer:
             )
         try:
             agent_name, budget, batch, seed = self._parse_search(body)
-        except _BadRequest as error:
+        except BadRequest as error:
             return _json_error(400, str(error), request_id=request_id)
         if self._searches_inflight >= _MAX_SEARCHES_INFLIGHT:
             registry.counter("serve.rejected", reason="search_busy").inc()
@@ -474,21 +472,21 @@ class PredictionServer:
         try:
             request = json.loads(body.decode("utf-8")) if body else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise _BadRequest(f"request body is not JSON: {error}") from error
+            raise BadRequest(f"request body is not JSON: {error}") from error
         if not isinstance(request, dict):
-            raise _BadRequest("request body must be a JSON object")
+            raise BadRequest("request body must be a JSON object")
         unknown = set(request) - {"agent", "budget", "batch", "seed",
                                   "objective"}
         if unknown:
-            raise _BadRequest(f"unknown search options: {sorted(unknown)}")
+            raise BadRequest(f"unknown search options: {sorted(unknown)}")
         agent = request.get("agent", "hill")
         if agent not in AGENT_NAMES:
-            raise _BadRequest(
+            raise BadRequest(
                 f"unknown agent {agent!r}; known: {', '.join(AGENT_NAMES)}"
             )
         objective = request.get("objective", self._predictor.metric.value)
         if objective != self._predictor.metric.value:
-            raise _BadRequest(
+            raise BadRequest(
                 f"this server predicts {self._predictor.metric.value!r}, "
                 f"not {objective!r}"
             )
@@ -496,9 +494,9 @@ class PredictionServer:
         def _bounded_int(key: str, default: int, lo: int, hi: int) -> int:
             value = request.get(key, default)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise _BadRequest(f'"{key}" must be an integer')
+                raise BadRequest(f'"{key}" must be an integer')
             if not lo <= value <= hi:
-                raise _BadRequest(f'"{key}" must be in [{lo}, {hi}]')
+                raise BadRequest(f'"{key}" must be in [{lo}, {hi}]')
             return value
 
         budget = _bounded_int("budget", 128, 2, _MAX_SEARCH_BUDGET)
@@ -510,21 +508,21 @@ class PredictionServer:
         try:
             request = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise _BadRequest(f"request body is not JSON: {error}") from error
+            raise BadRequest(f"request body is not JSON: {error}") from error
         if not isinstance(request, dict):
-            raise _BadRequest("request body must be a JSON object")
+            raise BadRequest("request body must be a JSON object")
         if "configs" in request:
             raw_list = request["configs"]
             if not isinstance(raw_list, list):
-                raise _BadRequest('"configs" must be a list')
+                raise BadRequest('"configs" must be a list')
         elif "config" in request:
             raw_list = [request["config"]]
         else:
-            raise _BadRequest('request needs a "configs" or "config" key')
+            raise BadRequest('request needs a "configs" or "config" key')
         if not raw_list:
-            raise _BadRequest("at least one configuration is required")
+            raise BadRequest("at least one configuration is required")
         if len(raw_list) > _MAX_CONFIGS:
-            raise _BadRequest(
+            raise BadRequest(
                 f"at most {_MAX_CONFIGS} configurations per request"
             )
         return [self._parse_config(raw) for raw in raw_list]
@@ -533,19 +531,19 @@ class PredictionServer:
         if isinstance(raw, dict):
             unknown = set(raw) - set(PARAMETER_ORDER)
             if unknown:
-                raise _BadRequest(
+                raise BadRequest(
                     f"unknown parameters: {sorted(unknown)}"
                 )
             try:
                 overrides = {name: int(value) for name, value in raw.items()}
                 config = self._space.baseline.replace(**overrides)
             except (TypeError, ValueError) as error:
-                raise _BadRequest(
+                raise BadRequest(
                     f"bad configuration values: {error}"
                 ) from error
         elif isinstance(raw, list):
             if len(raw) != len(PARAMETER_ORDER):
-                raise _BadRequest(
+                raise BadRequest(
                     f"a configuration list needs "
                     f"{len(PARAMETER_ORDER)} values, got {len(raw)}"
                 )
@@ -554,18 +552,18 @@ class PredictionServer:
                     tuple(int(v) for v in raw)
                 )
             except (TypeError, ValueError) as error:
-                raise _BadRequest(
+                raise BadRequest(
                     f"bad configuration values: {error}"
                 ) from error
         else:
-            raise _BadRequest(
+            raise BadRequest(
                 "each configuration must be a parameter mapping or a "
                 f"{len(PARAMETER_ORDER)}-integer list"
             )
         try:
             self._space.validate(config)
         except ValueError as error:
-            raise _BadRequest(f"illegal configuration: {error}") from error
+            raise BadRequest(f"illegal configuration: {error}") from error
         return config
 
 
@@ -584,7 +582,6 @@ def serve_forever(
     max_inflight: int = 0,
     client_rate: float = 0.0,
     client_burst: int = 0,
-    service_delay: float = 0.0,
     ready_callback=None,
 ) -> None:
     """Run a prediction server until SIGTERM/SIGINT, then drain.
@@ -594,8 +591,6 @@ def serve_forever(
         max_inflight / client_rate / client_burst: Admission-control
             limits (an :class:`AdmissionController` is installed when
             any is set; see :mod:`repro.serve.admission`).
-        service_delay: Extra seconds per forward pass for scaling
-            studies.
         ready_callback: Called with the started
             :class:`PredictionServer` once the socket is bound (tests
             and the CLI use it to report the actual port).
@@ -622,7 +617,6 @@ def serve_forever(
         cache_size=cache_size,
         queue_limit=queue_limit,
         admission=admission,
-        service_delay=service_delay,
     )
 
     async def _run() -> None:

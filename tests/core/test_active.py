@@ -34,6 +34,14 @@ class TestDisagreement:
         scores = model_disagreement(models, list(small_dataset.configs[:200]))
         assert scores.std() > 0
 
+    def test_matches_per_model_loop(self, models, small_dataset):
+        candidates = list(small_dataset.configs[:200])
+        fast = model_disagreement(models, candidates)
+        slow = np.stack(
+            [np.log10(m.predict(candidates)) for m in models]
+        ).std(axis=0)
+        np.testing.assert_array_equal(fast, slow)
+
 
 class TestSelectResponses:
     def test_count_and_uniqueness(self, models, small_dataset):

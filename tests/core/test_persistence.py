@@ -141,20 +141,17 @@ class TestPredictorRoundTrip:
             load_predictor(path)
 
 
-class TestLegacyPool:
-    def test_v1_archive_still_loads(self, cycles_pool, tmp_path, space,
-                                    small_dataset):
-        """Pre-checksum pools (format 1) remain readable."""
+class TestOlderFormat:
+    def test_v1_archive_rejected(self, cycles_pool, tmp_path, space):
+        """A pool relabelled to format 1 after its weights were altered
+        must fail to load, not hydrate the altered weights unverified."""
         from repro.core.persistence import _pool_payload
 
-        models = cycles_pool.models()
-        payload = _pool_payload(models)
-        path = tmp_path / "legacy.npz"
+        payload = _pool_payload(cycles_pool.models())
+        payload["model0_output_bias"] = payload["model0_output_bias"] + 1.0
+        path = tmp_path / "relabelled.npz"
         np.savez_compressed(path, format_version=np.array(1), **payload)
-        restored = load_models(path, space)
-        probe = list(small_dataset.configs[:20])
-        for original, clone in zip(models, restored):
-            assert clone.program == original.program
-            assert np.array_equal(
-                clone.predict(probe), original.predict(probe)
-            )
+        with pytest.raises(
+            ValueError, match="unsupported model pool format version 1"
+        ):
+            load_models(path, space)

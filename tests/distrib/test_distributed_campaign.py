@@ -16,7 +16,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.distrib import CampaignCoordinator, CampaignWorker
+from repro.distrib import (
+    CampaignCoordinator,
+    CampaignWorker,
+    RepeatBackend,
+    WorkerCapabilities,
+)
 from repro.distrib.protocol import (
     PROTOCOL_VERSION,
     encode_frame,
@@ -359,12 +364,28 @@ class TestResumeInterop:
         assert_matrices_identical(dist, result)
 
 
+def _hello(worker):
+    return {
+        "type": "hello", "worker": worker, "version": "",
+        "capabilities": WorkerCapabilities().to_wire(),
+    }
+
+
+async def _refusal(port, first_message):
+    """Open a connection, send one frame, return the coordinator's
+    reply and whether it then hung up."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    await write_message(writer, first_message)
+    reply = await read_message(reader)
+    eof = await read_message(reader) is None
+    writer.close()
+    return reply, eof
+
+
 async def _vanishing_client(port):
     """Handshake, lease one task, then drop the connection (a crash)."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    await write_message(
-        writer, {"type": "hello", "worker": "doomed", "version": ""}
-    )
+    await write_message(writer, _hello("doomed"))
     await read_message(reader)  # welcome
     reply = None
     while reply is None or reply.get("type") == "wait":
@@ -372,16 +393,14 @@ async def _vanishing_client(port):
             await asyncio.sleep(float(reply.get("delay", 0.02)))
         await write_message(writer, {"type": "task_request"})
         reply = await read_message(reader)
-    assert reply.get("type") == "task"
+    assert reply.get("type") == "task_bundle"
     writer.close()  # SIGKILL-equivalent: lease dies with the socket
 
 
 async def _silent_client(port):
     """Lease a task, then neither heartbeat nor answer (a hang)."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    await write_message(
-        writer, {"type": "hello", "worker": "hung", "version": ""}
-    )
+    await write_message(writer, _hello("hung"))
     await read_message(reader)
     reply = None
     while reply is None or reply.get("type") == "wait":
@@ -389,7 +408,7 @@ async def _silent_client(port):
             await asyncio.sleep(float(reply.get("delay", 0.02)))
         await write_message(writer, {"type": "task_request"})
         reply = await read_message(reader)
-    assert reply.get("type") == "task"
+    assert reply.get("type") == "task_bundle"
     await asyncio.sleep(2.0)  # outlive the lease without heartbeating
     writer.close()
 
@@ -555,6 +574,84 @@ class TestFaultTolerance:
         assert outcome["reply"]["type"] == "error"
         assert "version mismatch" in outcome["reply"]["reason"]
         assert outcome["eof"] is None  # coordinator hung up on the peer
+
+    def test_hello_without_wellformed_capabilities_is_refused(
+        self, backend, tiny_suite, tiny_configs, tmp_path
+    ):
+        """Every HELLO whose capabilities are missing or ill-typed is
+        answered with an error and never counted as a worker."""
+        valid = WorkerCapabilities().to_wire()
+        bad_capabilities = [
+            None,
+            "junk",
+            {},
+            {k: v for k, v in valid.items() if k != "simulate_suite"},
+            {**valid, "cores": "8"},
+            {**valid, "cores": True},
+            {**valid, "throughput": "fast"},
+            {**valid, "simulate_suite": 1},
+            {**valid, "cores": 0},
+        ]
+        replies = []
+
+        async def hostile_client(port):
+            for index, capabilities in enumerate(bad_capabilities):
+                hello = {"type": "hello", "worker": f"bad{index}"}
+                if capabilities is not None:
+                    hello["capabilities"] = capabilities
+                replies.append(await _refusal(port, hello))
+
+        coordinator, result = distributed(
+            CampaignRunner(
+                backend, tmp_path / "caps", chunk_size=16,
+                retry_policy=FAST_POLICY, seed=5,
+            ),
+            tiny_suite,
+            tiny_configs,
+            n_workers=2,
+            # Slow cells keep the campaign open for every refusal.
+            backend_factory=lambda: RepeatBackend(backend, delay=0.05),
+            extra_clients=(hostile_client,),
+        )
+        assert result.complete
+        assert len(replies) == len(bad_capabilities)
+        for reply, eof in replies:
+            assert reply["type"] == "error"
+            assert "capabilit" in reply["reason"]
+            assert eof
+        assert coordinator.stats.workers_seen == 2
+        assert {e["worker"] for e in coordinator.membership.roster()} == {
+            "w0", "w1",
+        }
+
+    def test_status_probe_frame_is_refused(
+        self, backend, tiny_suite, tiny_configs, tmp_path
+    ):
+        """Status is served over HTTP only; the worker port answers the
+        retired status-probe frame like any other non-HELLO opener."""
+        outcome = {}
+
+        async def status_client(port):
+            outcome["reply"], outcome["eof"] = await _refusal(
+                port, {"type": "status" "_request"}
+            )
+
+        coordinator, result = distributed(
+            CampaignRunner(
+                backend, tmp_path / "status", chunk_size=16,
+                retry_policy=FAST_POLICY, seed=5,
+            ),
+            tiny_suite,
+            tiny_configs,
+            n_workers=1,
+            backend_factory=lambda: RepeatBackend(backend, delay=0.02),
+            extra_clients=(status_client,),
+        )
+        assert result.complete
+        assert outcome["reply"]["type"] == "error"
+        assert "expected a hello" in outcome["reply"]["reason"]
+        assert outcome["eof"]
+        assert coordinator.stats.workers_seen == 1
 
     def test_all_failing_cells_are_recorded_not_retried_forever(
         self, backend, tiny_suite, tiny_configs, tmp_path

@@ -18,7 +18,7 @@ from repro.distrib import (
     ChaosEvent,
     ChaosPlan,
     WorkerCapabilities,
-    fetch_status_async,
+    fetch_status,
     run_chaos_campaign,
 )
 from repro.distrib.chaos import journal_checksums as chaos_journal_checksums
@@ -61,8 +61,9 @@ def run_fleet(
 
     ``late_specs`` workers are started ``late_after`` seconds after the
     initial fleet, exercising mid-campaign admission.  With
-    ``status_probe`` the read-only status endpoint is polled mid-run
-    and its last payload returned.
+    ``status_probe`` the coordinator serves its HTTP twins and the
+    read-only ``/status`` endpoint is polled mid-run; its last payload
+    is returned.
     """
 
     async def scenario():
@@ -70,6 +71,7 @@ def run_fleet(
             runner,
             port=0,
             monitor_interval=0.02,
+            http_port=0 if status_probe else None,
             **(coordinator_kwargs or {}),
         )
         ready = asyncio.Event()
@@ -99,8 +101,11 @@ def run_fleet(
             if status_probe:
                 while not campaign.done():
                     try:
-                        status = await fetch_status_async(
-                            "127.0.0.1", coordinator.port, timeout=2.0
+                        # Blocking HTTP client: off the loop the
+                        # coordinator serves on.
+                        status = await asyncio.to_thread(
+                            fetch_status, "127.0.0.1",
+                            coordinator.http_port, timeout=2.0,
                         )
                     except (ConnectionError, OSError):
                         break
@@ -374,7 +379,7 @@ class TestStatusEndpoint:
         workers = {entry["worker"] for entry in status["fleet"]}
         assert "w0" in workers
         assert "tasks_completed" in status["stats"]
-        # The probe connection must not count as a worker join.
+        # The HTTP probe never touches the worker port.
         assert coordinator.stats.joins == 1
 
 

@@ -10,6 +10,7 @@ from repro.distrib.membership import (
     detect_capabilities,
     measure_calibration,
 )
+from repro.distrib.protocol import ProtocolError
 
 
 def caps(throughput: float = 0.0, cores: int = 1) -> WorkerCapabilities:
@@ -31,24 +32,35 @@ class TestWorkerCapabilities:
                                       simulate_suite=True)
         assert WorkerCapabilities.from_wire(original.to_wire()) == original
 
-    def test_from_wire_tolerates_pre_elastic_hello(self):
-        # An old worker sends no capabilities at all.
-        assert WorkerCapabilities.from_wire(None) == WorkerCapabilities()
-        assert WorkerCapabilities.from_wire("junk") == WorkerCapabilities()
-        assert WorkerCapabilities.from_wire({}) == WorkerCapabilities()
+    def test_from_wire_rejects_missing_capabilities(self):
+        for wire in (None, "junk", []):
+            with pytest.raises(ProtocolError, match="no capabilities"):
+                WorkerCapabilities.from_wire(wire)
 
-    def test_pre_suite_hello_decodes_suiteless(self):
-        # A worker predating the suite fast path never sends the key.
-        wire = {"cores": 2, "memory_mb": 1024, "throughput": 50.0}
-        assert WorkerCapabilities.from_wire(wire).simulate_suite is False
+    def test_from_wire_rejects_missing_keys(self):
+        full = WorkerCapabilities().to_wire()
+        for key in full:
+            partial = {k: v for k, v in full.items() if k != key}
+            with pytest.raises(ProtocolError, match=key):
+                WorkerCapabilities.from_wire(partial)
 
-    def test_from_wire_clamps_hostile_values(self):
-        decoded = WorkerCapabilities.from_wire(
-            {"cores": -4, "memory_mb": -1, "throughput": -9.0}
-        )
-        assert decoded.cores == 1
-        assert decoded.memory_mb == 0
-        assert decoded.throughput == 0.0
+    def test_from_wire_rejects_ill_typed_values(self):
+        full = WorkerCapabilities().to_wire()
+        for key, wrong in (
+            ("cores", "8"), ("cores", 2.0), ("cores", True),
+            ("memory_mb", None), ("throughput", "fast"),
+            ("throughput", False), ("simulate_suite", 1),
+        ):
+            with pytest.raises(ProtocolError, match=key):
+                WorkerCapabilities.from_wire({**full, key: wrong})
+
+    def test_from_wire_rejects_hostile_values(self):
+        for hostile in (
+            {"cores": -4}, {"memory_mb": -1}, {"throughput": -9.0},
+        ):
+            wire = {**WorkerCapabilities().to_wire(), **hostile}
+            with pytest.raises(ProtocolError, match="invalid"):
+                WorkerCapabilities.from_wire(wire)
 
     def test_detect_capabilities(self):
         detected = detect_capabilities(calibrate=False)

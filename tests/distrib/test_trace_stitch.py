@@ -3,10 +3,10 @@
 The contract: one distributed campaign produces **one** trace — the
 coordinator's root span and every worker's chunk spans share a single
 trace id, each worker renders as its own named process lane in the
-chrome export, and peers that predate trace context (or speak the
-older protocol version) still land inside the campaign trace because
-the coordinator stamps adopted spans.  None of this may perturb the
-journal: stitched campaigns stay bit-identical to serial ones.
+chrome export, and spans shipped without a trace id still land inside
+the campaign trace because the coordinator stamps adopted spans.  None
+of this may perturb the journal: stitched campaigns stay bit-identical
+to serial ones.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from pathlib import Path
 
 from repro.distrib import CampaignCoordinator, CampaignWorker
 from repro.distrib.protocol import (
-    MIN_PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
     encode_frame,
     read_message,
-    write_message,
 )
 from repro.obs import SLOTracker, scoped_registry, scoped_tracer
 from repro.runtime import CampaignRunner
@@ -126,12 +125,12 @@ class TestStitchedTrace:
 
 
 class _TraceBlindWorker(CampaignWorker):
-    """A peer that predates trace context: ignores the task's trace
-    field, so its spans arrive at the coordinator trace-id-less."""
+    """A worker that blanks the task's trace context, so its spans
+    arrive trace-id-less — as a ``--jobs`` pool child's do."""
 
     async def _run_task(self, reader, writer, task, *args, **kwargs):
         task = dict(task)
-        task.pop("trace", None)
+        task["trace"] = {"trace_id": None, "parent_id": None}
         return await super()._run_task(
             reader, writer, task, *args, **kwargs
         )
@@ -141,7 +140,7 @@ class TestMixedFleet:
     def test_trace_blind_worker_is_adopt_stamped(
         self, backend, tiny_suite, tiny_configs, tmp_path
     ):
-        """An old worker's spans still join the campaign trace (the
+        """Trace-less spans still join the campaign trace (the
         coordinator stamps them on adopt) and the journal stays
         bit-identical to serial."""
         serial_runner, serial = serial_result(
@@ -197,11 +196,11 @@ class TestMixedFleet:
             serial_runner
         )
 
-    def test_minimum_protocol_version_still_welcome(
+    def test_older_protocol_version_refused(
         self, backend, tiny_suite, tiny_configs, tmp_path
     ):
-        """A frame stamped with the oldest supported version is
-        accepted — v3 only added optional payload keys."""
+        """A HELLO stamped with the previous protocol version is turned
+        away and never joins the fleet."""
         outcome = {}
 
         async def old_peer(port):
@@ -209,20 +208,19 @@ class TestMixedFleet:
                 "127.0.0.1", port
             )
             frame = bytearray(
-                encode_frame({"type": "hello", "worker": "v2-peer"})
+                encode_frame({"type": "hello", "worker": "old-peer"})
             )
             body = json.loads(frame[4:].decode("utf-8"))
-            body["v"] = MIN_PROTOCOL_VERSION
+            body["v"] = PROTOCOL_VERSION - 1
             tampered = json.dumps(body).encode("utf-8")
             writer.write(len(tampered).to_bytes(4, "big") + tampered)
             await writer.drain()
             outcome["reply"] = await read_message(reader)
-            await write_message(writer, {"type": "goodbye"})
             writer.close()
 
         with scoped_registry(), scoped_tracer():
-            _, result = distributed(
-                _runner(backend, tmp_path, "v2peer"),
+            coordinator, result = distributed(
+                _runner(backend, tmp_path, "oldpeer"),
                 tiny_suite,
                 tiny_configs,
                 n_workers=2,
@@ -230,8 +228,9 @@ class TestMixedFleet:
                 extra_clients=(old_peer,),
             )
         assert result.complete
-        assert outcome["reply"] is not None
-        assert outcome["reply"]["type"] == "welcome"
+        assert outcome["reply"]["type"] == "error"
+        assert "version mismatch" in outcome["reply"]["reason"]
+        assert coordinator.membership.get("old-peer") is None
 
 
 class TestStatusPayload:

@@ -20,7 +20,6 @@ import pytest
 
 from repro.distrib.protocol import (
     MAX_FRAME_BYTES,
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     ProtocolError,
     decode_frame,
@@ -137,27 +136,34 @@ class TestHeaderFuzz:
             frame = encode_frame(_sample_payload(rng))
             envelope = json.loads(frame[4:].decode("utf-8"))
             wrong = int(rng.integers(-3, 100))
-            if MIN_PROTOCOL_VERSION <= wrong <= PROTOCOL_VERSION:
-                continue  # supported range: accepted, not a mismatch
+            if wrong == PROTOCOL_VERSION:
+                continue  # the one accepted version, not a mismatch
             envelope["v"] = wrong
             with pytest.raises(ProtocolError, match="version mismatch"):
                 _read_all(self._reframe(envelope))
 
-    def test_supported_version_range_accepted(self):
+    def test_only_the_current_version_accepted(self):
         rng = np.random.default_rng(SEED + 5)
         payload = _sample_payload(rng)
         frame = encode_frame(payload)
         envelope = json.loads(frame[4:].decode("utf-8"))
-        for version in range(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION + 1):
-            accepted = dict(envelope)
-            accepted["v"] = version
-            assert _read_all(self._reframe(accepted)) == [payload]
+        assert _read_all(self._reframe(envelope)) == [payload]
+        for version in range(0, PROTOCOL_VERSION + 10):
+            if version == PROTOCOL_VERSION:
+                continue
+            mangled = dict(envelope)
+            mangled["v"] = version
+            with pytest.raises(ProtocolError, match="version mismatch"):
+                _read_all(self._reframe(mangled))
 
     def test_non_integer_versions_rejected(self):
         rng = np.random.default_rng(SEED + 6)
         frame = encode_frame(_sample_payload(rng))
         envelope = json.loads(frame[4:].decode("utf-8"))
-        for wrong in (None, "2", 2.5, [PROTOCOL_VERSION]):
+        for wrong in (
+            None, "2", 2.5, [PROTOCOL_VERSION],
+            float(PROTOCOL_VERSION), str(PROTOCOL_VERSION), True,
+        ):
             mangled = dict(envelope)
             mangled["v"] = wrong
             with pytest.raises(ProtocolError, match="version mismatch"):

@@ -123,6 +123,16 @@ class TestCorruptArchives:
         with pytest.raises(ValueError, match="version"):
             load_dataset(bad, small_suite)
 
+    def test_older_version_rejected(self, archive, small_suite, tmp_path):
+        """A dataset archive stamped with the previous format version
+        fails to load, whatever its contents."""
+        bad = _repack(archive, tmp_path / "older.npz",
+                      format_version=np.array(2))
+        with pytest.raises(
+            ValueError, match="unsupported dataset archive format version 2"
+        ):
+            load_dataset(bad, small_suite)
+
     def test_nonfinite_values_rejected_even_with_valid_checksum(
         self, archive, small_suite, tmp_path
     ):

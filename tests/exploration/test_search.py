@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.exploration import (
+from repro.search import (
+    TradeOffPoint,
     dominated_fraction,
     hill_climb,
     pareto_front,
     predicted_best,
+    simulated_annealing,
 )
-from repro.search import TradeOffPoint
 from repro.sim import Metric
 
 
@@ -152,13 +153,11 @@ class TestDominatedFraction:
 
 class TestSimulatedAnnealing:
     def test_never_returns_worse_than_start(self, oracle, space):
-        from repro.exploration import simulated_annealing
         start_value = float(oracle.predict([space.baseline])[0])
         result = simulated_annealing(oracle, space, steps=150, seed=1)
         assert result.best.predicted <= start_value
 
     def test_beats_or_matches_hill_climbing_on_average(self, oracle, space):
-        from repro.exploration import simulated_annealing
         hill = hill_climb(oracle, space, max_steps=40)
         annealed = min(
             simulated_annealing(oracle, space, steps=300, seed=s).best.predicted
@@ -167,18 +166,15 @@ class TestSimulatedAnnealing:
         assert annealed <= hill.best.predicted * 1.1
 
     def test_deterministic_given_seed(self, oracle, space):
-        from repro.exploration import simulated_annealing
         a = simulated_annealing(oracle, space, steps=100, seed=9)
         b = simulated_annealing(oracle, space, steps=100, seed=9)
         assert a.best.predicted == b.best.predicted
 
     def test_zero_simulations(self, oracle, space):
-        from repro.exploration import simulated_annealing
         result = simulated_annealing(oracle, space, steps=50, seed=2)
         assert result.simulations_spent == 0
 
     def test_invalid_arguments_rejected(self, oracle, space):
-        from repro.exploration import simulated_annealing
         import pytest as _pytest
         with _pytest.raises(ValueError):
             simulated_annealing(oracle, space, steps=0)
@@ -186,37 +182,11 @@ class TestSimulatedAnnealing:
             simulated_annealing(oracle, space, initial_temperature=0.0)
 
     def test_legal_result(self, oracle, space):
-        from repro.exploration import simulated_annealing
         result = simulated_annealing(oracle, space, steps=80, seed=4)
         assert space.is_legal(result.best.configuration)
 
 
-class TestDeprecationShim:
-    """repro.exploration.search moved to repro.search.strategies."""
-
-    def test_shim_import_warns_and_reexports(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.exploration.search", None)
-        with pytest.warns(DeprecationWarning, match="repro.search"):
-            shim = importlib.import_module("repro.exploration.search")
-        import repro.search.strategies as strategies
-
-        assert shim.hill_climb is strategies.hill_climb
-        assert shim.pareto_front is strategies.pareto_front
-        assert shim.TradeOffPoint is strategies.TradeOffPoint
-
-    def test_package_reexports_stay_silent(self):
-        import warnings
-
-        import repro.exploration as exploration
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert callable(exploration.hill_climb)
-            assert callable(exploration.dominated_fraction)
-
+class TestNonFiniteInputs:
     def test_frontier_rejects_nan(self, space):
         class _NaNPredictor:
             def predict(self, configs):

@@ -19,15 +19,14 @@ def payload():
 class TestRoundTrip:
     def test_arrays_survive_exactly(self, tmp_path, payload):
         path = write_archive(tmp_path / "a.npz", payload, format_version=3)
-        version, loaded = read_archive(path, current_version=3)
-        assert version == 3
+        loaded = read_archive(path, format_version=3)
         assert sorted(loaded) == sorted(payload)
         for name, array in payload.items():
             assert np.array_equal(loaded[name], np.asarray(array))
 
     def test_reserved_keys_stripped_on_read(self, tmp_path, payload):
         path = write_archive(tmp_path / "a.npz", payload, format_version=1)
-        _, loaded = read_archive(path, current_version=1)
+        loaded = read_archive(path, format_version=1)
         assert "format_version" not in loaded
         assert "checksum" not in loaded
 
@@ -75,45 +74,42 @@ class TestIntegrity:
         raw[len(raw) // 2] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
-            read_archive(path, current_version=2)
+            read_archive(path, format_version=2)
 
     def test_truncation_detected(self, tmp_path, payload):
         path = write_archive(tmp_path / "a.npz", payload, format_version=2)
         path.write_bytes(path.read_bytes()[:-100])
         with pytest.raises(ValueError, match="corrupt or truncated"):
-            read_archive(path, current_version=2)
+            read_archive(path, format_version=2)
 
     def test_not_an_archive(self, tmp_path):
         path = tmp_path / "a.npz"
         path.write_bytes(b"definitely not a zip")
         with pytest.raises(ValueError, match="corrupt or truncated"):
-            read_archive(path, current_version=1)
+            read_archive(path, format_version=1)
 
     def test_label_appears_in_errors(self, tmp_path):
         path = tmp_path / "a.npz"
         path.write_bytes(b"junk")
         with pytest.raises(ValueError, match="model pool"):
-            read_archive(path, current_version=1, label="model pool")
+            read_archive(path, format_version=1, label="model pool")
 
 
 class TestVersions:
     def test_unsupported_version_rejected(self, tmp_path, payload):
         path = write_archive(tmp_path / "a.npz", payload, format_version=9)
         with pytest.raises(ValueError, match="version 9"):
-            read_archive(path, current_version=2, legacy_versions=(1,))
+            read_archive(path, format_version=2)
 
-    def test_legacy_version_accepted_unverified(self, tmp_path, payload):
-        """A legacy archive loads even if its arrays were altered:
-        its (caller-owned) checksum entry rides along in the payload."""
+    def test_older_version_rejected(self, tmp_path, payload):
+        """An archive one version behind is refused, never returned
+        unverified."""
         path = write_archive(tmp_path / "a.npz", payload, format_version=1)
-        version, loaded = read_archive(
-            path, current_version=2, legacy_versions=(1,)
-        )
-        assert version == 1
-        assert "checksum" in loaded  # preserved for caller verification
+        with pytest.raises(ValueError, match="unsupported .* version 1"):
+            read_archive(path, format_version=2)
 
     def test_missing_version_key_rejected(self, tmp_path, payload):
         path = tmp_path / "a.npz"
         np.savez_compressed(path, **payload)
         with pytest.raises(ValueError, match="no format version"):
-            read_archive(path, current_version=1)
+            read_archive(path, format_version=1)

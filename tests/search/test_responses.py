@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.active import select_responses
-from repro.search import (
-    RESPONSE_STRATEGIES,
-    ensemble_disagreement,
-    pick_response_indices,
-)
+from repro.search import RESPONSE_STRATEGIES, pick_response_indices
 
 
 @pytest.fixture(scope="module")
@@ -21,20 +16,6 @@ def models(cycles_pool):
 @pytest.fixture(scope="module")
 def candidates(small_dataset):
     return small_dataset.configs[:200]
-
-
-class TestEnsembleDisagreement:
-    def test_shape_and_positivity(self, models, candidates):
-        scores = ensemble_disagreement(models, candidates)
-        assert scores.shape == (len(candidates),)
-        assert (scores >= 0).all()
-
-    def test_matches_per_model_loop(self, models, candidates):
-        fast = ensemble_disagreement(models, candidates)
-        slow = np.stack(
-            [np.log10(m.predict(candidates)) for m in models]
-        ).std(axis=0)
-        np.testing.assert_array_equal(fast, slow)
 
 
 class TestPickResponseIndices:

@@ -98,9 +98,9 @@ class ServerHarness:
 def harness(fitted_predictor):
     active = []
 
-    def _start(**kwargs) -> ServerHarness:
+    def _start(predictor=None, **kwargs) -> ServerHarness:
         kwargs.setdefault("port", 0)
-        started = ServerHarness(fitted_predictor, **kwargs)
+        started = ServerHarness(predictor or fitted_predictor, **kwargs)
         active.append(started)
         return started
 

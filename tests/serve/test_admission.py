@@ -161,6 +161,25 @@ class TestHTTPSurface:
                 first.predict_one({})
             assert second.predict_one({}) > 0
 
+    def test_client_ids_keep_their_case(self, harness):
+        started = harness(
+            admission=AdmissionController(
+                client_rate=0.001, client_burst=1
+            ),
+        )
+        upper = PredictionClient(
+            "127.0.0.1", started.port, client_id="Alice"
+        )
+        lower = PredictionClient(
+            "127.0.0.1", started.port, client_id="alice"
+        )
+        with upper, lower:
+            assert upper.predict_one({}) > 0
+            with pytest.raises(ServerError):
+                upper.predict_one({})
+            # "alice" is a different client with its own full bucket.
+            assert lower.predict_one({}) > 0
+
     def test_health_and_metrics_are_never_shed(self, harness):
         started = harness(
             admission=AdmissionController(

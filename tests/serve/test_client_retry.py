@@ -1,17 +1,15 @@
-"""Client-side resilience: seeded 503 retries and stale keep-alive
-recovery."""
+"""Client-side resilience: stale keep-alive recovery, and non-200
+answers surfaced at once (the client never retries a 503 itself)."""
 
 from __future__ import annotations
 
 import json
-import random
 import socket
 import threading
 
 import pytest
 
 from repro.serve import PredictionClient, ServerError
-from repro.serve.client import _RETRY_BASE
 
 
 def _fake_exchange(responses):
@@ -26,49 +24,8 @@ def _fake_exchange(responses):
     return exchange
 
 
-class TestSeededRetries:
-    def test_delays_replay_the_seed(self, monkeypatch):
-        client = PredictionClient(
-            "127.0.0.1", 1, retries=3, retry_seed=42
-        )
-        shed = (503, {"Retry-After": "0.20"}, {"error": "busy"})
-        ok = (200, {}, {"predictions": [1.5]})
-        monkeypatch.setattr(
-            client, "_exchange", _fake_exchange([shed, shed, ok])
-        )
-        slept = []
-        monkeypatch.setattr(
-            "repro.serve.client.time.sleep", slept.append
-        )
-        assert client.predict([{}]) == [1.5]
-        # Full jitter: Retry-After plus uniform(0, base * 2^attempt),
-        # replayed exactly from the seed.
-        expected_rng = random.Random(42)
-        expected = [
-            0.20 + expected_rng.uniform(0.0, _RETRY_BASE * (2 ** attempt))
-            for attempt in range(2)
-        ]
-        assert slept == pytest.approx(expected)
-
-    def test_jitter_ceiling_is_capped(self, monkeypatch):
-        client = PredictionClient(
-            "127.0.0.1", 1, retries=8, retry_seed=7, max_retry_wait=0.1
-        )
-        shed = (503, {}, {"error": "busy"})
-        ok = (200, {}, {"predictions": [1.0]})
-        monkeypatch.setattr(
-            client, "_exchange",
-            _fake_exchange([shed] * 8 + [ok]),
-        )
-        slept = []
-        monkeypatch.setattr(
-            "repro.serve.client.time.sleep", slept.append
-        )
-        client.predict([{}])
-        assert len(slept) == 8
-        assert all(delay <= 0.1 for delay in slept)
-
-    def test_retries_zero_fails_fast(self, monkeypatch):
+class TestServerErrors:
+    def test_503_surfaces_retry_hint_at_once(self, monkeypatch):
         client = PredictionClient("127.0.0.1", 1)
         monkeypatch.setattr(
             client, "_exchange",
@@ -78,51 +35,22 @@ class TestSeededRetries:
                 {"error": "busy", "request_id": "abc-000001"},
             )]),
         )
-        slept = []
-        monkeypatch.setattr(
-            "repro.serve.client.time.sleep", slept.append
-        )
         with pytest.raises(ServerError) as excinfo:
             client.predict([{}])
-        assert slept == []
         assert excinfo.value.status == 503
         assert excinfo.value.retry_after == pytest.approx(1.5)
         assert excinfo.value.request_id == "abc-000001"
 
-    def test_exhausted_retries_surface_the_503(self, monkeypatch):
-        client = PredictionClient("127.0.0.1", 1, retries=2, retry_seed=0)
-        monkeypatch.setattr(
-            client, "_exchange",
-            _fake_exchange([(503, {}, {"error": "busy"})] * 3),
-        )
-        slept = []
-        monkeypatch.setattr(
-            "repro.serve.client.time.sleep", slept.append
-        )
-        with pytest.raises(ServerError):
-            client.predict([{}])
-        assert len(slept) == 2
-
-    def test_non_503_is_never_retried(self, monkeypatch):
-        client = PredictionClient("127.0.0.1", 1, retries=5, retry_seed=0)
+    def test_non_503_raises_with_its_status(self, monkeypatch):
+        client = PredictionClient("127.0.0.1", 1)
         monkeypatch.setattr(
             client, "_exchange",
             _fake_exchange([(400, {}, {"error": "bad config"})]),
         )
-        slept = []
-        monkeypatch.setattr(
-            "repro.serve.client.time.sleep", slept.append
-        )
         with pytest.raises(ServerError) as excinfo:
             client.predict([{}])
         assert excinfo.value.status == 400
-        assert slept == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PredictionClient("h", 1, retries=-1)
-        with pytest.raises(ValueError):
-            PredictionClient("h", 1, max_retry_wait=0.0)
+        assert excinfo.value.message == "bad config"
 
 
 class _OneShotServer:

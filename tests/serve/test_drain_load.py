@@ -19,14 +19,32 @@ from repro.obs import scoped_registry
 from repro.serve import PredictionClient, ServerError, ServingFleet
 
 
+class _SlowPredictor:
+    """A fitted predictor whose every forward pass first sleeps
+    ``delay`` seconds; everything else is delegated unchanged."""
+
+    def __init__(self, inner, delay: float) -> None:
+        self._inner = inner
+        self._delay = delay
+
+    def predict_invariant(self, configs):
+        time.sleep(self._delay)
+        return self._inner.predict_invariant(configs)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
 class TestSingleServerDrain:
     def test_inflight_predict_and_search_complete(
-        self, harness, holdout_configs
+        self, harness, fitted_predictor, holdout_configs
     ):
         # A slow forward pass keeps the prediction in flight long
         # enough for drain to start while it runs; cache off so the
         # request cannot sidestep the queue.
-        server = harness(service_delay=0.4, cache_size=0)
+        server = harness(
+            predictor=_SlowPredictor(fitted_predictor, 0.4), cache_size=0
+        )
         outcomes = {}
 
         def slow_predict():
@@ -78,8 +96,8 @@ class TestFleetDrain:
     ):
         with scoped_registry():
             fleet = ServingFleet(
-                fitted_predictor, 2, port=0,
-                server_options={"service_delay": 0.5, "cache_size": 0},
+                _SlowPredictor(fitted_predictor, 0.5), 2, port=0,
+                server_options={"cache_size": 0},
             )
             fleet.start(timeout=90.0)
             try:
@@ -112,7 +130,6 @@ class TestFleetDrain:
                     refusals = 0
                     for client in bystanders:
                         try:
-                            client.retries = 0
                             client.predict_one(holdout_configs[0])
                         except ServerError as error:
                             assert error.status == 503

@@ -247,3 +247,45 @@ class TestDrain:
         server = harness()
         server.drain()
         server.drain()
+
+
+def _raw_exchange(port: int, raw: bytes) -> bytes:
+    """Send raw bytes; return everything the server answers before it
+    closes the connection (a keep-alive answer hits the timeout)."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_gets_400_and_close(self, harness, length):
+        server = harness()
+        answer = _raw_exchange(
+            server.port,
+            f"POST /predict HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{{}}"
+            .encode("latin-1"),
+        )
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+        # The server itself is unharmed.
+        with server.client() as client:
+            assert client.healthz()["status"] == "ok"
+
+    def test_connection_close_honoured_in_any_case(self, harness):
+        server = harness()
+        answer = _raw_exchange(
+            server.port,
+            b"GET /healthz HTTP/1.1\r\nConnection: Close\r\n\r\n",
+        )
+        assert answer.startswith(b"HTTP/1.1 200 ")
+        assert b"Connection: close" in answer

@@ -10,7 +10,8 @@ import pytest
 
 from repro.core import ArchitectureCentricPredictor, TrainingPool
 from repro.designspace import embedded_space, sample_configurations
-from repro.exploration import DesignSpaceDataset, hill_climb
+from repro.exploration import DesignSpaceDataset
+from repro.search import hill_climb
 from repro.sim import IntervalSimulator, Metric
 from repro.workloads import mibench_suite
 

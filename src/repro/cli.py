@@ -626,6 +626,38 @@ def _suite(name: str):
     return spec2000_suite() if name == "spec2000" else mibench_suite()
 
 
+def _program_suite(program: str):
+    """The suite holding ``program`` (SPEC first, then MiBench), or
+    ``None`` after reporting it unknown."""
+    for make in (spec2000_suite, mibench_suite):
+        suite = make()
+        if program in suite:
+            return suite
+    print(f"unknown program {program!r}", file=sys.stderr)
+    return None
+
+
+def _campaign_profiles(args: argparse.Namespace):
+    """``--program`` alone, else the whole ``--suite``; ``None`` when
+    the program is unknown."""
+    if args.program is None:
+        return _suite(args.suite)
+    suite = _program_suite(args.program)
+    return None if suite is None else [suite[args.program]]
+
+
+def _report_campaign(result, checkpoint_dir) -> bool:
+    """Print the journal accounting; ``False`` when cells are left."""
+    print(f"campaign  : {result.simulated_cells} chunk(s) simulated, "
+          f"{result.resumed_cells} resumed from {checkpoint_dir}")
+    if result.complete:
+        return True
+    unfinished = len(result.failed_cells) + len(result.pending_cells)
+    print(f"campaign left {unfinished} chunk(s) unfinished; rerun with "
+          "--resume to continue", file=sys.stderr)
+    return False
+
+
 def _run_campaign(args: argparse.Namespace, profiles, simulator):
     """Run a checkpointed campaign; returns the result or None on error.
 
@@ -654,15 +686,7 @@ def _run_campaign(args: argparse.Namespace, profiles, simulator):
         hint = "" if args.resume else " (pass --resume to continue it)"
         print(f"checkpoint error: {error}{hint}", file=sys.stderr)
         return None
-    print(f"campaign  : {result.simulated_cells} chunk(s) simulated, "
-          f"{result.resumed_cells} resumed from "
-          f"{args.checkpoint_dir}")
-    if not result.complete:
-        unfinished = len(result.failed_cells) + len(result.pending_cells)
-        print(f"campaign left {unfinished} chunk(s) unfinished; "
-              "rerun with --resume to continue", file=sys.stderr)
-        return None
-    return result
+    return result if _report_campaign(result, args.checkpoint_dir) else None
 
 
 def _coordinate(args: argparse.Namespace, runner, profiles, configs):
@@ -726,11 +750,8 @@ def _cmd_table2() -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    suite = spec2000_suite()
-    if args.program not in suite:
-        suite = mibench_suite()
-    if args.program not in suite:
-        print(f"unknown program {args.program!r}", file=sys.stderr)
+    suite = _program_suite(args.program)
+    if suite is None:
         return 2
     if args.distributed and not args.checkpoint_dir:
         print("--distributed needs --checkpoint-dir (the coordinator "
@@ -862,11 +883,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     from repro.sim import IntervalSimulator
 
     metric = Metric.from_name(args.metric)
-    suite = spec2000_suite()
-    if args.program not in suite:
-        suite = mibench_suite()
-    if args.program not in suite:
-        print(f"unknown program {args.program!r}", file=sys.stderr)
+    suite = _program_suite(args.program)
+    if suite is None:
         return 2
     if args.distributed and not args.checkpoint_dir:
         print("--distributed needs --checkpoint-dir (the coordinator "
@@ -1281,16 +1299,9 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
         print("coordinator needs --checkpoint-dir (the journal is the "
               "campaign's source of truth)", file=sys.stderr)
         return 2
-    if args.program is not None:
-        suite = spec2000_suite()
-        if args.program not in suite:
-            suite = mibench_suite()
-        if args.program not in suite:
-            print(f"unknown program {args.program!r}", file=sys.stderr)
-            return 2
-        profiles = [suite[args.program]]
-    else:
-        profiles = _suite(args.suite)
+    profiles = _campaign_profiles(args)
+    if profiles is None:
+        return 2
     simulator = IntervalSimulator()
     configs = sample_configurations(
         simulator.space, args.samples, seed=args.seed
@@ -1307,14 +1318,7 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
         hint = "" if args.resume else " (pass --resume to continue it)"
         print(f"checkpoint error: {error}{hint}", file=sys.stderr)
         return 2
-    print(f"campaign  : {result.simulated_cells} chunk(s) simulated, "
-          f"{result.resumed_cells} resumed from {args.checkpoint_dir}")
-    if not result.complete:
-        unfinished = len(result.failed_cells) + len(result.pending_cells)
-        print(f"campaign left {unfinished} chunk(s) unfinished; rerun "
-              "with --resume to continue", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if _report_campaign(result, args.checkpoint_dir) else 1
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -1370,8 +1374,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
         state = "active" if entry.get("active") else "gone"
         if entry.get("slow"):
             state += ", slow"
-        if entry.get("simulate_suite"):
-            state += ", suite"
         print(f"worker    : {entry.get('worker')} [{state}] "
               f"rate {entry.get('rate')}/s "
               f"weight {entry.get('weight')} "
@@ -1494,16 +1496,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as error:
         print(f"chaos plan error: {error}", file=sys.stderr)
         return 2
-    if args.program is not None:
-        suite = spec2000_suite()
-        if args.program not in suite:
-            suite = mibench_suite()
-        if args.program not in suite:
-            print(f"unknown program {args.program!r}", file=sys.stderr)
-            return 2
-        profiles = [suite[args.program]]
-    else:
-        profiles = _suite(args.suite)
+    profiles = _campaign_profiles(args)
+    if profiles is None:
+        return 2
     simulator = IntervalSimulator()
     configs = sample_configurations(
         simulator.space, args.samples, seed=args.seed

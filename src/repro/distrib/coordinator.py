@@ -190,8 +190,9 @@ class CampaignCoordinator:
             circuit-break one worker out of the campaign.
         min_workers: Hold task hand-out until this many workers have
             connected (benchmarks use it to time pure execution).
-        max_bundle: Ceiling on cells per capacity-weighted lease
-            bundle (1 restores the old one-chunk-at-a-time hand-out).
+        max_bundle: Ceiling on a worker's capacity weight; a lease
+            bundle holds at most twice this many cells (see
+            :meth:`FleetMembership.bundle_size`).
         steal_after_fraction: An idle worker may steal (speculatively
             re-lease) an un-duplicated lease once the lease is older
             than this fraction of ``lease_timeout``; leases held by a
@@ -568,9 +569,9 @@ class CampaignCoordinator:
     ) -> Optional[CampaignCell]:
         """Pop the first runnable queued cell of chunk ``chunk_index``.
 
-        The bundle filler for a suite-capable worker: same-chunk cells
-        in one bundle share their configs, so the worker computes them
-        in a single program-major ``simulate_suite`` call.  Settled or
+        The bundle filler: same-chunk cells in one bundle share their
+        configs, so a suite worker computes them in one program-major
+        backend call.  Settled or
         backing-off cells are skipped in place; :meth:`_issue_lease`
         drops or rotates them on its next pass.
         """
@@ -870,29 +871,21 @@ class CampaignCoordinator:
         # fleet has assembled, losing a worker must not stall the rest.
         self._barrier_open = True
         bundle: List[Dict] = []
-        member = self.membership.get(worker.worker_id)
-        suite_capable = (
-            member is not None and member.capabilities.simulate_suite
-        )
-        anchor_chunk: Optional[int] = None
         for _ in range(self.membership.bundle_size(worker.worker_id)):
-            task = None
-            if suite_capable and anchor_chunk is not None:
-                # Prefer cells from the bundle's first chunk: the
-                # worker folds them into one simulate_suite call.
-                cell = self._take_chunk_cell(
-                    anchor_chunk, time.monotonic()
+            # Prefer cells from the bundle's first chunk: a suite
+            # worker runs them as one group, one backend call.
+            cell = (
+                self._take_chunk_cell(
+                    bundle[0]["chunk_index"], time.monotonic()
                 )
-                if cell is not None:
-                    task = self._task_message(
-                        self._new_lease(cell, worker)
-                    )
-            if task is None:
-                task = self._issue_lease(worker)
+                if bundle else None
+            )
+            task = (
+                self._task_message(self._new_lease(cell, worker))
+                if cell is not None else self._issue_lease(worker)
+            )
             if task is None:
                 break
-            if anchor_chunk is None:
-                anchor_chunk = task.get("chunk_index")
             bundle.append(task)
         if not bundle:
             stolen = self._try_steal(worker)
@@ -912,9 +905,6 @@ class CampaignCoordinator:
         self._merge_telemetry(message.get("telemetry"))
         raw = message.get("leases")
         ids = [str(i) for i in raw] if isinstance(raw, list) else []
-        primary = message.get("lease")
-        if primary is not None and str(primary) not in ids:
-            ids.insert(0, str(primary))
         now = time.monotonic()
         leases_ok: Dict[str, bool] = {}
         for lease_id in ids:
@@ -924,15 +914,7 @@ class CampaignCoordinator:
             else:
                 lease.deadline = now + self.lease_timeout
                 leases_ok[lease_id] = True
-        return {
-            "type": "hb_ack",
-            "lease_ok": (
-                leases_ok.get(str(primary), False)
-                if primary is not None
-                else all(leases_ok.values()) and bool(leases_ok)
-            ),
-            "leases_ok": leases_ok,
-        }
+        return {"type": "hb_ack", "leases_ok": leases_ok}
 
     def _on_release(self, worker: _WorkerState, message: Dict) -> Dict:
         """A draining worker hands back the unstarted rest of a bundle."""
@@ -1030,7 +1012,7 @@ class CampaignCoordinator:
         registry = get_registry()
         # First result wins: cancel any losing sibling lease (the other
         # side of a steal, or a lease issued after ours was reclaimed).
-        # The loser's next heartbeat reads lease_ok=False and it drops
+        # The loser's next heartbeat reads its lease dead and it drops
         # its copy; a copy that races in anyway is discarded as stale.
         for sibling_id in list(self._cell_leases.get(cell_id, ())):
             sibling = self._leases.pop(sibling_id, None)

@@ -11,9 +11,10 @@ join, leave, completion and rate observation into a
 scheduler asks:
 
 * **How much work should this worker get at once?**
-  :meth:`FleetMembership.bundle_size` — capacity-weighted against the
-  fleet median throughput, clamped to ``[1, max_bundle]``, and forced
-  to 1 for a worker currently flagged slow.
+  :meth:`FleetMembership.bundle_size` — twice the capacity weight
+  against the fleet median throughput, clamped to
+  ``[2, 2 * max_bundle]``, and forced to 1 for a worker currently
+  flagged slow.
 * **Is this worker a straggler?** :meth:`FleetMembership.rebalance_scan`
   compares each worker's observed completion rate (an EWMA over the
   gaps between accepted results) against the fleet median and flags
@@ -65,18 +66,11 @@ class WorkerCapabilities:
         throughput: Measured calibration throughput in kernel
             iterations per second (0.0 when not measured) — a relative
             number, only ever compared against other workers' values.
-        simulate_suite: True when the worker's backend offers the
-            program-major ``simulate_suite`` fast path; the coordinator
-            then prefers filling that worker's bundles with same-chunk
-            cells and doubles the bundle ceiling.  A worker whose
-            backend lacks the fast path sends False and keeps getting
-            plain per-cell bundles.
     """
 
     cores: int = 1
     memory_mb: int = 0
     throughput: float = 0.0
-    simulate_suite: bool = False
 
     def __post_init__(self) -> None:
         if self.cores < 1:
@@ -92,7 +86,6 @@ class WorkerCapabilities:
             "cores": self.cores,
             "memory_mb": self.memory_mb,
             "throughput": self.throughput,
-            "simulate_suite": self.simulate_suite,
         }
 
     @classmethod
@@ -119,7 +112,6 @@ class WorkerCapabilities:
                 cores=wire["cores"],
                 memory_mb=wire["memory_mb"],
                 throughput=float(wire["throughput"]),
-                simulate_suite=wire["simulate_suite"],
             )
         except ValueError as error:
             raise ProtocolError(
@@ -132,7 +124,6 @@ _WIRE_TYPES = {
     "cores": (int,),
     "memory_mb": (int,),
     "throughput": (int, float),
-    "simulate_suite": (bool,),
 }
 
 
@@ -199,7 +190,8 @@ class FleetMembership:
     """The coordinator's roster of workers and their observed rates.
 
     Args:
-        max_bundle: Ceiling on how many cells one lease bundle holds.
+        max_bundle: Ceiling on a worker's capacity weight; one lease
+            bundle holds at most twice this many cells.
         ewma_alpha: Smoothing of the per-worker completion-rate EWMA
             (1.0 trusts only the latest gap, 0.0 never updates).
         slow_fraction: A worker whose rate drops below this fraction of
@@ -344,21 +336,18 @@ class FleetMembership:
     def bundle_size(self, worker_id: str) -> int:
         """Cells to lease this worker in one bundle.
 
-        A slow-flagged worker always gets exactly one cell: bundling to
-        a straggler just converts one late cell into several.  A
-        suite-capable worker gets a doubled size against a doubled
-        ceiling — same-chunk cells in one bundle cost it a single
-        program-major backend call, so the marginal cell is nearly free.
+        Twice the capacity weight (at least 1), clamped to twice
+        ``max_bundle``: the coordinator fills bundles with same-chunk
+        cells, which a suite worker runs as one program-major backend
+        call, so the marginal cell is nearly free.  A slow-flagged
+        worker always gets exactly one cell: bundling to a straggler
+        just converts one late cell into several.
         """
         member = self.members.get(worker_id)
         if member is not None and member.slow:
             return 1
-        size = int(round(self.weight(worker_id)))
-        limit = self.max_bundle
-        if member is not None and member.capabilities.simulate_suite:
-            size = max(1, size) * 2
-            limit *= 2
-        return max(1, min(limit, size))
+        size = max(1, int(round(self.weight(worker_id))))
+        return 2 * min(self.max_bundle, size)
 
     def rebalance_scan(self) -> List[Tuple[str, bool]]:
         """Re-flag slow/recovered workers against the fleet median.
@@ -423,7 +412,6 @@ class FleetMembership:
                 "cores": member.capabilities.cores,
                 "memory_mb": member.capabilities.memory_mb,
                 "throughput": round(member.capabilities.throughput, 3),
-                "simulate_suite": member.capabilities.simulate_suite,
                 "weight": round(self.weight(member.worker_id), 3),
                 "bundle_size": self.bundle_size(member.worker_id),
                 "tasks_completed": member.tasks_completed,

@@ -44,7 +44,7 @@ __all__ = [
 
 #: Bumped on any change to the envelope or message vocabulary.  Both
 #: sides must speak exactly this version.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Hard ceiling on one frame — a 128-configuration chunk of four
 #: float64 arrays is ~20 kB of JSON; 32 MiB leaves three orders of

@@ -1,21 +1,23 @@
-"""The campaign worker: lease a cell, simulate it, ship the arrays back.
+"""The campaign worker: lease cells, simulate them, ship the arrays back.
 
 A worker holds no campaign state.  It connects to a coordinator, says
-hello, and loops: request a task, simulate the leased cell behind the
-same :func:`~repro.runtime.retry.call_with_retry` machinery the serial
-loop uses — the task carries its own deterministic retry seed and the
-campaign's retry policy, so a flaky backend backs off *identically* to
-a serial run — and returns the metric arrays with their artifact-layer
-checksum.  Heartbeats keep the lease alive while a long simulation is
-in flight (the simulation runs in a thread; the event loop stays free
-to heartbeat); if the coordinator reports the lease reclaimed, the
-worker abandons the result rather than racing the replacement.
+hello, and loops: request a task bundle, split it into groups (a suite
+backend's same-chunk cells share one group) and run each group through
+:func:`~repro.runtime.campaign.run_group`, the same call the campaign
+runner makes.  Each task carries its own deterministic retry seed and
+the campaign's retry policy, so a flaky backend backs off *identically*
+to a serial run; the worker returns each cell's metric arrays with
+their artifact-layer checksum.  Heartbeats keep the leases alive while
+a long simulation is in flight (the simulation runs in a thread; the
+event loop stays free to heartbeat); if the coordinator reports a lease
+reclaimed, the worker abandons that result rather than racing the
+replacement.
 
 Telemetry is recorded into a *private* registry and tracer — never the
 process globals, so any number of in-process workers (tests) or
 dedicated worker processes (production) stay isolated — and a snapshot
 rides back with each result for the coordinator to merge.  On SIGTERM
-the worker finishes the task it holds, delivers the result, releases
+the worker finishes the group it holds, delivers the results, releases
 any unstarted leases from its bundle, says goodbye and exits: a
 drained worker never loses leased work.
 
@@ -30,29 +32,20 @@ reconnecting at once spreads out instead of thundering-herding.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import signal
 import socket
 import time
 import uuid
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
+from typing import Callable, Deque, List, Optional, Set
 
 import numpy as np
 
 from repro import __version__
 from repro.obs import MetricsRegistry, Tracer, get_logger, git_sha
-from repro.runtime.backend import (
-    SimulationBackend,
-    SimulationError,
-    supports_suite,
-    validate_batch,
-)
-from repro.runtime.retry import (
-    CircuitBreaker,
-    RetryPolicy,
-    call_with_retry,
-)
+from repro.runtime.backend import SimulationBackend, supports_suite
+from repro.runtime.campaign import CellGroup, run_group
+from repro.runtime.retry import RetryPolicy
 from repro.sim.interval import BatchResult
 from repro.workloads.profile import stable_seed
 
@@ -219,12 +212,6 @@ class CampaignWorker:
         if sim_repeat > 1 or sim_delay > 0:
             backend = RepeatBackend(backend, sim_repeat, delay=sim_delay)
         self.backend = backend
-        # Advertise the suite fast path only when the *final* backend
-        # stack actually offers it; a caller-supplied flag cannot
-        # promise a capability the backend lacks.
-        self.capabilities = dataclasses.replace(
-            self.capabilities, simulate_suite=supports_suite(backend)
-        )
         self.tasks_completed = 0
         self._draining = False
         # Private instruments: shipped with each result, merged
@@ -383,10 +370,7 @@ class CampaignWorker:
         self, reader, writer, heartbeat_interval: float
     ) -> None:
         while True:
-            if self._draining or (
-                self.max_tasks is not None
-                and self.tasks_completed >= self.max_tasks
-            ):
+            if self._draining or self._budget_spent():
                 await self._goodbye(writer)
                 return
             try:
@@ -428,46 +412,57 @@ class CampaignWorker:
         self, reader, writer, tasks: List[dict],
         heartbeat_interval: float,
     ) -> None:
-        """Run a lease bundle sequentially, releasing what we can't.
+        """Run a lease bundle group by group, releasing what we can't.
 
-        While one cell simulates, the heartbeats cover *every* lease
-        still pending in the bundle; a pending lease the coordinator
-        reports dead (stolen, reclaimed) is silently dropped.  A drain
-        request or the ``max_tasks`` budget mid-bundle releases the
-        unstarted remainder back to the coordinator instead of sitting
-        on it until the lease expires.
-
-        With a suite-capable backend the first cell of each chunk in
-        the bundle runs one program-major ``simulate_suite`` call that
-        also computes its same-chunk siblings; those land in a
-        per-bundle cache and are reported later with ``attempts=0``, so
-        the coordinator's attempt total matches a serial suite run.
+        With a suite-capable backend the bundle's same-chunk cells form
+        one group (one program-major backend call); otherwise every cell
+        is its own group.  While a group simulates, the heartbeats cover
+        *every* lease still pending in the bundle; a pending lease the
+        coordinator reports dead (stolen, reclaimed) is silently
+        dropped.  A drain request or the ``max_tasks`` budget releases
+        the unstarted remainder back to the coordinator instead of
+        sitting on it until the lease expires.
         """
         pending: Deque[dict] = deque(tasks)
-        suite_cache: Dict[str, BatchResult] = {}
         while pending:
-            task = pending.popleft()
+            group = self._take_group(pending)
             extra = [str(t["lease"]) for t in pending]
-            dead = await self._run_task(
-                reader, writer, task, heartbeat_interval, extra,
-                bundle_pending=pending, suite_cache=suite_cache,
+            dead = await self._run_group(
+                reader, writer, group, heartbeat_interval, extra
             )
             if dead:
                 pending = deque(
                     t for t in pending if str(t["lease"]) not in dead
                 )
-            if pending and (
-                self._draining
-                or (
-                    self.max_tasks is not None
-                    and self.tasks_completed >= self.max_tasks
-                )
-            ):
+            if pending and (self._draining or self._budget_spent()):
                 await self._release(
                     reader, writer,
                     [str(t["lease"]) for t in pending],
                 )
                 return
+
+    def _budget_spent(self) -> bool:
+        return (
+            self.max_tasks is not None
+            and self.tasks_completed >= self.max_tasks
+        )
+
+    def _take_group(self, pending: Deque[dict]) -> List[dict]:
+        """Pop the next group: the first task plus, for a suite backend,
+        its same-chunk peers, never more than ``max_tasks`` allows."""
+        first = pending.popleft()
+        if not supports_suite(self.backend):
+            return [first]
+        peers = [
+            task for task in pending
+            if task["chunk_index"] == first["chunk_index"]
+        ]
+        if self.max_tasks is not None:
+            room = self.max_tasks - self.tasks_completed - 1
+            peers = peers[: max(0, room)]
+        for task in peers:
+            pending.remove(task)
+        return [first] + peers
 
     async def _release(self, reader, writer, leases: List[str]) -> None:
         """Hand unstarted leases back to the coordinator cleanly."""
@@ -493,161 +488,118 @@ class CampaignWorker:
         except (ConnectionError, OSError):
             pass  # the peer beat us to hanging up
 
-    async def _run_task(
-        self, reader, writer, task: dict, heartbeat_interval: float,
-        extra_leases: Optional[List[str]] = None,
-        bundle_pending: Optional[Sequence[dict]] = None,
-        suite_cache: Optional[Dict[str, BatchResult]] = None,
+    async def _run_group(
+        self, reader, writer, tasks: List[dict], heartbeat_interval: float,
+        extra_leases: List[str],
     ) -> Set[str]:
-        cell = str(task["cell"])
-        lease = str(task["lease"])
-        profile = profile_from_wire(task["profile"])
-        configs = configs_from_wire(task["configs"])
-        policy = policy_from_wire(task["policy"])
-        retry_seed = int(task["retry_seed"])
-        context = task["trace"]
+        """Simulate one group, then deliver each cell's result.
+
+        Returns:
+            Every lease the coordinator reported dead meanwhile; the
+            results of the group's dead leases are dropped.
+        """
+        first = tasks[0]
+        leases = [str(t["lease"]) for t in tasks]
+        group = CellGroup(
+            cells=tuple(str(t["cell"]) for t in tasks),
+            profiles=tuple(profile_from_wire(t["profile"]) for t in tasks),
+            configs=tuple(configs_from_wire(first["configs"])),
+            chunk_index=int(first["chunk_index"]),
+            retry_seed=int(first["retry_seed"]),
+        )
+        context = first["trace"]
         self._tracer.bind(
             trace_id=context["trace_id"], parent_id=context["parent_id"]
         )
-        attempts = 0
-        cached = (
-            suite_cache.pop(cell, None)
-            if suite_cache is not None else None
-        )
-
-        def attempt() -> BatchResult:
-            nonlocal attempts
-            attempts += 1
-            siblings = [
-                t for t in (bundle_pending or ())
-                if t.get("chunk_index") == task.get("chunk_index")
-                and t["configs"] == task["configs"]
-            ] if supports_suite(self.backend) else []
-            if not siblings:
-                return self.backend.simulate_batch(profile, configs)
-            # One program-major call covers this cell plus every
-            # same-chunk sibling still pending in the bundle; siblings
-            # wait in the cache for their turn in the loop.
-            profiles = [profile] + [
-                profile_from_wire(t["profile"]) for t in siblings
-            ]
-            results = self.backend.simulate_suite(profiles, configs)
-            for sibling, result in zip(siblings, results[1:]):
-                suite_cache[str(sibling["cell"])] = result
-            return results[0]
-
-        def simulate():
-            # Runs in a thread so the event loop keeps heartbeating.
-            # Private breaker per task, like the process-pool worker:
-            # the coordinator tracks cross-task worker health itself.
-            with self._tracer.span(
-                "simulate.chunk",
-                program=profile.name,
-                chunk=task.get("chunk_index"),
-                worker=self.worker_id,
-            ) as cell_span:
-                batch, error = None, None
-                if cached is not None:
-                    try:
-                        validate_batch(cached, f"for cell {cell}")
-                        batch = cached
-                    except SimulationError:
-                        pass  # distrust the cached copy; re-simulate
-                if batch is None:
-                    try:
-                        batch = call_with_retry(
-                            attempt,
-                            policy,
-                            seed=retry_seed,
-                            breaker=CircuitBreaker(),
-                            validate=lambda result: validate_batch(
-                                result, f"for cell {cell}"
-                            ),
-                        )
-                    except SimulationError as failure:
-                        error = str(failure)
-                if cell_span is not None:
-                    cell_span["attrs"]["attempts"] = attempts
-                    cell_span["attrs"]["outcome"] = (
-                        "ok" if error is None else "failed"
-                    )
-            self._registry.histogram("campaign.chunk.seconds").observe(
-                self._tracer.spans[-1]["dur"]
-            )
-            return batch, error
-
-        work = asyncio.create_task(asyncio.to_thread(simulate))
+        # Runs in a thread so the event loop keeps heartbeating.  A
+        # private breaker per group, like a process-pool task: the
+        # coordinator tracks cross-task worker health itself.
+        work = asyncio.create_task(asyncio.to_thread(
+            run_group, group, self.backend, policy_from_wire(first["policy"]),
+            tracer=self._tracer, registry=self._registry,
+            worker=self.worker_id,
+        ))
         try:
-            lease_lost, dead = await self._heartbeat_until_done(
-                reader, writer, work, lease, heartbeat_interval,
-                extra_leases or [],
+            dead = await self._heartbeat_until_done(
+                reader, writer, work, leases, heartbeat_interval,
+                extra_leases,
             )
-            batch, error = await work
-            if lease_lost:
-                # The coordinator reclaimed the lease (we looked hung);
-                # someone else owns the cell now.  Drop the result.
-                self._registry.counter("distrib.worker.leases.lost").inc()
-                _log.warning(
-                    "worker %s lost lease on cell %s; dropping result",
-                    self.worker_id, cell,
-                    extra={"event": "distrib.lease_lost", "cell": cell,
-                           "worker": self.worker_id},
-                )
-                return dead
-            # Counted before the telemetry drain so this task's own bump
-            # rides back with this task's result, not the next one's.
-            self._registry.counter("distrib.worker.tasks").inc()
-            result: dict = {
-                "type": "result",
-                "lease": lease,
-                "cell": cell,
-                "attempts": attempts,
-                "telemetry": self._drain_telemetry(),
-            }
-            if error is not None:
-                result["ok"] = False
-                result["error"] = error
-            else:
-                result["ok"] = True
-                result["arrays"] = batch_to_wire(batch)
-                result["arrays_checksum"] = batch_checksum(batch)
-            await self._send(writer, result)
-            ack = await read_message(reader)
+            outcome = await work
+            attempts = outcome.attempts
+            for index, (cell, lease) in enumerate(zip(group.cells, leases)):
+                if lease in dead:
+                    # The coordinator reclaimed the lease (we looked
+                    # hung); someone else owns the cell now.
+                    self._registry.counter("distrib.worker.leases.lost").inc()
+                    _log.warning(
+                        "worker %s lost lease on cell %s; dropping result",
+                        self.worker_id, cell,
+                        extra={"event": "distrib.lease_lost", "cell": cell,
+                               "worker": self.worker_id},
+                    )
+                    continue
+                # Counted before the telemetry drain so this cell's own
+                # bump rides back with its result, not the next one's.
+                self._registry.counter("distrib.worker.tasks").inc()
+                result: dict = {
+                    "type": "result",
+                    "lease": lease,
+                    "cell": cell,
+                    # The group's backend calls are reported once; the
+                    # other cells were served by the same calls.
+                    "attempts": attempts,
+                    "telemetry": self._drain_telemetry(),
+                }
+                attempts = 0
+                if outcome.error is not None:
+                    result["ok"] = False
+                    result["error"] = str(outcome.error)
+                else:
+                    batch = outcome.batches[index]
+                    result["ok"] = True
+                    result["arrays"] = batch_to_wire(batch)
+                    result["arrays_checksum"] = batch_checksum(batch)
+                await self._send(writer, result)
+                ack = await read_message(reader)
+                if ack is None:
+                    raise CoordinatorLost(
+                        "coordinator vanished before acknowledging cell "
+                        f"{cell}"
+                    )
+                if ack.get("type") != "ack":
+                    raise ProtocolError(
+                        "coordinator did not acknowledge the result for "
+                        f"cell {cell}"
+                    )
+                self.tasks_completed += 1
+                if not ack.get("accepted"):
+                    _log.info(
+                        "result for cell %s was stale (another worker "
+                        "finished it first)",
+                        cell,
+                        extra={"event": "distrib.result_stale",
+                               "cell": cell},
+                    )
         except (ConnectionError, OSError):
             # The connection died under us: let the simulation thread
             # finish before unwinding so no thread outlives its task.
             if not work.done():
                 await asyncio.shield(work)
             raise
-        if ack is None:
-            raise CoordinatorLost(
-                f"coordinator vanished before acknowledging cell {cell}"
-            )
-        if ack.get("type") != "ack":
-            raise ProtocolError(
-                "coordinator did not acknowledge the result for "
-                f"cell {cell}"
-            )
-        self.tasks_completed += 1
-        if not ack.get("accepted"):
-            _log.info(
-                "result for cell %s was stale (another worker finished "
-                "it first)",
-                cell,
-                extra={"event": "distrib.result_stale", "cell": cell},
-            )
         return dead
 
     async def _heartbeat_until_done(
-        self, reader, writer, work: asyncio.Task, lease: str,
+        self, reader, writer, work: asyncio.Task, leases: List[str],
         interval: float, extra_leases: List[str],
-    ) -> "tuple[bool, Set[str]]":
+    ) -> Set[str]:
         """Heartbeat every held lease while the simulation runs.
 
+        Stops heartbeating once every lease of the running group is
+        dead, but still lets the simulation thread finish.
+
         Returns:
-            ``(lease_lost, dead_extras)`` — whether the *running*
-            task's lease was reclaimed, plus any pending bundle leases
-            the coordinator reported dead (stolen or reclaimed).
+            The leases (running or pending) the coordinator reported
+            dead: stolen, cancelled or reclaimed.
         """
         dead: Set[str] = set()
         while True:
@@ -655,18 +607,18 @@ class CampaignWorker:
                 await asyncio.wait_for(
                     asyncio.shield(work), timeout=interval
                 )
-                return False, dead
+                return dead
             except asyncio.TimeoutError:
                 pass
-            held = [lease] + [
-                lid for lid in extra_leases if lid not in dead
-            ]
             beat: dict = {
-                "type": "heartbeat", "lease": lease, "leases": held,
+                "type": "heartbeat",
+                "leases": [
+                    lid for lid in leases + extra_leases if lid not in dead
+                ],
             }
-            # Spans finished since the last drain (retry attempts,
-            # earlier bundle cells) ride the heartbeat, so the
-            # coordinator's live trace does not wait for the result.
+            # Spans finished since the last drain (earlier bundle
+            # groups) ride the heartbeat, so the coordinator's live
+            # trace does not wait for the result.
             spans = self._take_spans()
             if spans:
                 beat["telemetry"] = {"spans": spans}
@@ -682,12 +634,12 @@ class CampaignWorker:
                 )
             leases_ok = ack.get("leases_ok")
             if isinstance(leases_ok, dict):
-                for lease_id, ok in leases_ok.items():
-                    if not ok and lease_id != lease:
-                        dead.add(str(lease_id))
-            if not ack.get("lease_ok", False):
+                dead.update(
+                    str(lid) for lid, ok in leases_ok.items() if not ok
+                )
+            if dead.issuperset(leases):
                 await asyncio.shield(work)  # let the thread finish
-                return True, dead
+                return dead
 
     def _take_spans(self) -> List[dict]:
         """Spans finished since the last take, advancing the mark.

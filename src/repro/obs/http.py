@@ -62,12 +62,15 @@ async def read_request(
     their case.
 
     Raises:
-        BadRequest: on a ``Content-Length`` that is not a decimal
-            byte count.
+        BadRequest: on a request or header line longer than the
+            reader's limit, or a ``Content-Length`` that is not a
+            decimal byte count.
+        ConnectionError: on a body larger than ``max_body``.
+        asyncio.IncompleteReadError: when the body ends early.
     """
     try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+        request_line = await _read_line(reader)
+    except ConnectionError:
         return None
     if not request_line:
         return None
@@ -77,7 +80,7 @@ async def read_request(
     method, target, _version = parts
     headers: Dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
@@ -85,11 +88,21 @@ async def read_request(
     raw_length = headers.get("content-length") or "0"
     if not (raw_length.isascii() and raw_length.isdigit()):
         raise BadRequest(f"malformed Content-Length {raw_length!r}")
-    length = int(raw_length)
-    if length > max_body:
+    # Compare digit counts first: int() refuses very long digit strings.
+    digits = raw_length.lstrip("0") or "0"
+    if len(digits) > len(str(max_body)) or int(digits) > max_body:
         raise ConnectionError("request body too large")
+    length = int(digits)
     body = await reader.readexactly(length) if length else b""
     return method.upper(), target, headers, body
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line; an overlong one is the client's error, not ours."""
+    try:
+        return await reader.readline()
+    except ValueError as error:  # the StreamReader limit was exceeded
+        raise BadRequest("request line or header line too long") from error
 
 
 def wants_keep_alive(headers: Mapping[str, str]) -> bool:
@@ -240,8 +253,7 @@ class ObservabilityEndpoint:
                 await writer.drain()
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
         finally:
             self._connections.discard(writer)

@@ -32,10 +32,9 @@ class SimulationBackend(Protocol):
     """Anything that can simulate one program over a batch of configs.
 
     Backends may additionally offer the program-major 2-D fast path
-    ``simulate_suite(profiles, configs)``; callers discover it with
-    :func:`supports_suite` and must fall back to per-profile
-    ``simulate_batch`` calls when it is absent, so older or wrapped
-    backends keep working unchanged.
+    (:class:`SuiteBackend`); callers discover it with
+    :func:`supports_suite` and fall back to per-profile
+    ``simulate_batch`` calls when it is absent.
     """
 
     def simulate_batch(
@@ -45,15 +44,28 @@ class SimulationBackend(Protocol):
         ...
 
 
+@runtime_checkable
+class SuiteBackend(Protocol):
+    """A backend with the program-major ``simulate_suite`` fast path."""
+
+    def simulate_suite(
+        self,
+        profiles: Sequence[WorkloadProfile],
+        configs: Sequence[Configuration],
+    ) -> List[BatchResult]:
+        """One :class:`BatchResult` per profile, in order."""
+        ...
+
+
 def supports_suite(backend: object) -> bool:
     """True if ``backend`` offers the ``simulate_suite`` fast path.
 
     Capability discovery is duck-typed on purpose: wrappers that proxy
     an inner backend (fault injection, retry shims, remote stubs)
     advertise the fast path only when they actually implement it, and
-    everything else degrades gracefully to per-profile batches.
+    campaigns run every other backend one cell per call.
     """
-    return callable(getattr(backend, "simulate_suite", None))
+    return isinstance(backend, SuiteBackend)
 
 
 class IntervalBackend:

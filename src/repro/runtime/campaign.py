@@ -11,15 +11,20 @@ from the journal: verified cells are loaded from disk, unfinished ones
 are re-simulated, and the assembled matrices are bit-identical to an
 uninterrupted run.
 
-Backends advertising the program-major ``simulate_suite`` fast path
-(see :func:`repro.runtime.backend.supports_suite`) are called once per
-chunk across *all* programs instead of once per cell; both the serial
-loop and the process pool exploit it automatically and journal exactly
-the same cells with exactly the same arrays as the per-cell path.
+Every executor (the serial loop, the process pool and the distributed
+worker) runs the same unit of work, a :class:`CellGroup` of one chunk's
+unfinished cells, through :func:`run_group`.  Backends advertising the
+program-major ``simulate_suite`` fast path (see
+:func:`repro.runtime.backend.supports_suite`) are called once per group;
+any other backend gets groups of one cell.  Either way the journal holds
+exactly the same cells with exactly the same arrays.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import json
 import os
 import pathlib
@@ -41,6 +46,8 @@ import numpy as np
 
 from repro.designspace.configuration import Configuration
 from repro.obs import (
+    MetricsRegistry,
+    Tracer,
     build_manifest,
     get_logger,
     get_registry,
@@ -75,121 +82,158 @@ _METRIC_FIELDS = ("cycles", "energy", "ed", "edd")
 _log = get_logger(__name__)
 
 
-def _simulate_cell_worker(task):
-    """Simulate one campaign cell with retries (runs in a worker process).
+@dataclass(frozen=True)
+class CellGroup:
+    """The unfinished cells of one chunk: the unit every executor runs.
 
-    Module-level so it pickles.  Each worker gets its *own copy* of the
-    backend (pickled with the task) and a private circuit breaker, so a
-    stateful backend — e.g. a seeded fault injector — evolves per cell
-    rather than across the whole campaign.  Deterministic backends
-    produce exactly the arrays the serial loop would.
+    The serial loop, the process pool and the distributed worker all
+    hand groups to :func:`run_group`.  A backend with the program-major
+    ``simulate_suite`` path simulates a whole group in one call; any
+    other backend gets groups of exactly one cell.
 
-    Telemetry is captured worker-side into a private registry/tracer
-    (the fork-inherited globals would be lost with the process) and
-    shipped back as a picklable dict the parent merges, so aggregate
-    counters are independent of the worker count.
-
-    Returns:
-        (cell id, BatchResult or None on permanent failure, attempts,
-        failure message or None, telemetry dict).
+    Attributes:
+        cells: Cell ids, one per profile.
+        profiles: The cells' workload profiles.
+        configs: The chunk's configurations, shared by every cell.
+        chunk_index: Index of the chunk in the campaign.
+        retry_seed: Seed of the group's retry jitter (its first cell's).
     """
-    backend, profile, configs, policy, retry_seed, cell, chunk_index = task
-    attempts = 0
 
-    def attempt() -> BatchResult:
-        nonlocal attempts
-        attempts += 1
-        return backend.simulate_batch(profile, configs)
-
-    with scoped_registry() as registry, scoped_tracer() as tracer:
-        batch, error = None, None
-        with tracer.span(
-            "simulate.chunk", program=profile.name, chunk=chunk_index
-        ) as cell_span:
-            try:
-                batch = call_with_retry(
-                    attempt,
-                    policy,
-                    seed=retry_seed,
-                    breaker=CircuitBreaker(),
-                    validate=lambda result: validate_batch(
-                        result, f"for cell {cell}"
-                    ),
-                )
-            except SimulationError as failure:
-                error = str(failure)
-            if cell_span is not None:
-                cell_span["attrs"]["attempts"] = attempts
-                cell_span["attrs"]["outcome"] = (
-                    "ok" if error is None else "failed"
-                )
-        registry.histogram("campaign.chunk.seconds").observe(
-            tracer.spans[-1]["dur"]
-        )
-        telemetry = {
-            "metrics": registry.snapshot(),
-            "spans": list(tracer.spans),
-        }
-    return cell, batch, attempts, error, telemetry
+    cells: Tuple[str, ...]
+    profiles: Tuple[WorkloadProfile, ...]
+    configs: Tuple[Configuration, ...]
+    chunk_index: int
+    retry_seed: int
 
 
-def _simulate_suite_worker(task):
-    """Simulate one chunk's cells in a single program-major call.
+@dataclass(frozen=True)
+class GroupOutcome:
+    """What one :func:`run_group` call produced.
 
-    The suite twin of :func:`_simulate_cell_worker`, used when the
-    backend advertises ``simulate_suite``: every unfinished program at
-    one chunk shares a single backend call, so the backend builds the
-    chunk's configuration columns once instead of once per program.  A
-    retryable failure retries the whole suite call; validation checks
-    every program's batch, so a single corrupted batch discards (and
-    retries) the chunk exactly as the per-cell path would.
-
-    Returns:
-        (chunk index, list of BatchResult (one per profile, in task
-        order) or None on permanent failure, attempts, failure message
-        or None, telemetry dict).
+    Attributes:
+        batches: One result per cell in group order, or ``None`` when
+            the group failed.
+        attempts: Backend calls made (retries included).
+        error: The permanent failure, or ``None``.
+        telemetry: With ``capture``, the call's metrics snapshot and
+            spans for the caller to merge; otherwise ``None``.
     """
-    backend, profiles, configs, policy, retry_seed, cell_ids, chunk_index = task
-    attempts = 0
 
-    def attempt() -> List[BatchResult]:
-        nonlocal attempts
-        attempts += 1
-        return backend.simulate_suite(list(profiles), configs)
+    batches: Optional[List[BatchResult]]
+    attempts: int
+    error: Optional[SimulationError]
+    telemetry: Optional[dict] = None
 
-    def check(results: List[BatchResult]) -> List[BatchResult]:
-        for cell, result in zip(cell_ids, results):
-            validate_batch(result, f"for cell {cell}")
-        return results
 
-    with scoped_registry() as registry, scoped_tracer() as tracer:
+def run_group(
+    group: CellGroup,
+    backend: SimulationBackend,
+    policy: RetryPolicy,
+    *,
+    breaker: Optional[CircuitBreaker] = None,
+    sleep=None,
+    clock=None,
+    tracer: Optional[Tracer] = None,
+    registry: Optional[MetricsRegistry] = None,
+    capture: bool = False,
+    **span_attrs,
+) -> GroupOutcome:
+    """Simulate one group behind one retry loop.
+
+    A single :func:`~repro.runtime.retry.call_with_retry` covers the
+    backend call, the validation of every cell's batch and the attempt
+    count: one corrupted batch discards and retries the whole group.
+    Each cell gets one ``simulate.chunk`` span; the first one times the
+    backend call and carries its attempts, the others report
+    ``attempts=0``.  ``campaign.chunk.seconds`` is observed once.
+
+    Module-level so a process pool can pickle it.
+
+    Args:
+        group: The cells to simulate.
+        backend: Where they run.
+        policy: The retry policy.
+        breaker: Circuit breaker shared across calls; a private one by
+            default.
+        sleep: Backoff sleep hook.
+        clock: Timeout-guard clock hook.
+        tracer: Where spans go (the current global tracer by default).
+        registry: Where the latency goes (the current global registry
+            by default).
+        capture: Record into a fresh registry and tracer and return
+            their contents as :attr:`GroupOutcome.telemetry` (a process
+            pool child's globals die with the process).
+        **span_attrs: Extra attributes for every span.
+    """
+    with contextlib.ExitStack() as stack:
+        if capture:
+            registry = stack.enter_context(scoped_registry())
+            tracer = stack.enter_context(scoped_tracer())
+        tracer = tracer if tracer is not None else get_tracer()
+        registry = registry if registry is not None else get_registry()
+        attempts = 0
+
+        def attempt() -> List[BatchResult]:
+            nonlocal attempts
+            attempts += 1
+            if supports_suite(backend):
+                return backend.simulate_suite(
+                    list(group.profiles), list(group.configs)
+                )
+            (profile,) = group.profiles
+            return [backend.simulate_batch(profile, list(group.configs))]
+
+        def check(results: List[BatchResult]) -> List[BatchResult]:
+            if len(results) != len(group.cells):
+                raise SimulationError(
+                    f"backend returned {len(results)} batch(es) for "
+                    f"{len(group.cells)} cell(s)"
+                )
+            for cell, result in zip(group.cells, results):
+                validate_batch(result, f"for cell {cell}")
+            return results
+
         batches, error = None, None
+        outcome = "ok"
+        start = time.perf_counter()
         with tracer.span(
-            "simulate.suite", chunk=chunk_index, programs=len(profiles)
-        ) as suite_span:
+            "simulate.chunk", program=group.profiles[0].name,
+            chunk=group.chunk_index, **span_attrs,
+        ) as first:
             try:
                 batches = call_with_retry(
                     attempt,
                     policy,
-                    seed=retry_seed,
-                    breaker=CircuitBreaker(),
+                    seed=group.retry_seed,
+                    breaker=breaker if breaker is not None
+                    else CircuitBreaker(),
                     validate=check,
+                    sleep=sleep,
+                    clock=clock,
                 )
             except SimulationError as failure:
-                error = str(failure)
-            if suite_span is not None:
-                suite_span["attrs"]["attempts"] = attempts
-                suite_span["attrs"]["outcome"] = (
-                    "ok" if error is None else "failed"
+                error = failure
+                outcome = (
+                    "circuit-open"
+                    if isinstance(failure, CircuitOpenError) else "failed"
                 )
+            if first is not None:
+                first["attrs"].update(attempts=attempts, outcome=outcome)
         registry.histogram("campaign.chunk.seconds").observe(
-            tracer.spans[-1]["dur"]
+            time.perf_counter() - start
         )
-        telemetry = {
-            "metrics": registry.snapshot(),
-            "spans": list(tracer.spans),
-        }
-    return chunk_index, batches, attempts, error, telemetry
+        for profile in group.profiles[1:]:
+            with tracer.span(
+                "simulate.chunk", program=profile.name,
+                chunk=group.chunk_index, **span_attrs,
+            ) as served:
+                if served is not None:
+                    served["attrs"].update(attempts=0, outcome=outcome)
+        telemetry = (
+            {"metrics": registry.snapshot(), "spans": list(tracer.spans)}
+            if capture else None
+        )
+    return GroupOutcome(batches, attempts, error, telemetry)
 
 
 @dataclass(frozen=True)
@@ -225,7 +269,7 @@ class CampaignPlan:
         profiles: The matching workload profiles.
         configs: The shared configuration sample.
         chunks: ``(start, stop)`` bounds of each configuration chunk.
-        cells: Every (program, chunk) cell in campaign order.
+        cells: Every (program, chunk) cell, chunk-major.
         completed: Journalled cells whose result files still verify,
             mapped to their on-disk paths.
     """
@@ -342,7 +386,7 @@ class CampaignRunner:
         n_jobs: Worker processes simulating cells concurrently.  1 (the
             default) runs the serial loop; -1 uses one worker per CPU.
             The parallel path requires a picklable backend, gives each
-            cell a private circuit breaker (the campaign-wide breaker
+            group a private circuit breaker (the campaign-wide breaker
             and the ``sleep``/``clock`` hooks apply to the serial loop
             only) and assembles matrices bit-identical to a serial run
             for deterministic backends.
@@ -412,18 +456,6 @@ class CampaignRunner:
         directory documents its own provenance.
         """
         plan = self.plan(profiles, configs, resume)
-        programs = plan.programs
-        chunks = list(plan.chunks)
-        cells: List[Tuple[WorkloadProfile, int]] = [
-            (cell.profile, cell.chunk_index) for cell in plan.cells
-        ]
-        completed = plan.completed
-
-        values: Dict[Tuple[str, Metric], np.ndarray] = {
-            (program, metric): np.full(len(configs), np.nan)
-            for program in programs
-            for metric in Metric.all()
-        }
         started = time.time()
         tracer = get_tracer()
         trace_start = tracer.mark()
@@ -434,29 +466,21 @@ class CampaignRunner:
         _log.info(
             "campaign start: %d program(s) x %d configuration(s) = "
             "%d cell(s), %d already journalled, n_jobs=%d",
-            len(programs), len(configs), len(cells), len(completed),
-            self.n_jobs,
-            extra={"event": "campaign.start", "cells": len(cells),
-                   "journalled": len(completed), "n_jobs": self.n_jobs},
+            len(plan.programs), len(configs), len(plan.cells),
+            len(plan.completed), self.n_jobs,
+            extra={"event": "campaign.start", "cells": len(plan.cells),
+                   "journalled": len(plan.completed),
+                   "n_jobs": self.n_jobs},
         )
         try:
             with span(
                 "campaign.run",
-                programs=len(programs),
+                programs=len(plan.programs),
                 configs=len(configs),
-                cells=len(cells),
+                cells=len(plan.cells),
                 n_jobs=self.n_jobs,
             ):
-                if self.n_jobs > 1:
-                    result = self._run_parallel(
-                        programs, configs, chunks, cells, completed, values,
-                        max_cells, fail_fast,
-                    )
-                else:
-                    result = self._run_serial(
-                        programs, configs, chunks, cells, completed, values,
-                        max_cells, fail_fast,
-                    )
+                result = self._execute(plan, max_cells, fail_fast)
         except BaseException as error:
             # SIGTERM (SystemExit), Ctrl-C (KeyboardInterrupt) or a
             # crash: the checkpoint directory must still document what
@@ -498,8 +522,8 @@ class CampaignRunner:
                 start=start,
                 stop=stop,
             )
-            for profile in profile_list
             for index, (start, stop) in enumerate(chunks)
+            for profile in profile_list
         )
         return CampaignPlan(
             programs=programs,
@@ -510,299 +534,134 @@ class CampaignRunner:
             completed=self._verified_completed_cells(),
         )
 
-    def _run_serial(
-        self,
-        programs: Tuple[str, ...],
-        configs: Sequence[Configuration],
-        chunks: List[Tuple[int, int]],
-        cells: List[Tuple[WorkloadProfile, int]],
-        completed: Dict[str, pathlib.Path],
-        values: Dict[Tuple[str, Metric], np.ndarray],
-        max_cells: Optional[int],
-        fail_fast: bool,
-    ) -> CampaignResult:
-        """The in-process cell loop (``n_jobs == 1``).
+    def _groups(self, cells: Sequence[CampaignCell],
+                configs: Sequence[Configuration]) -> List[CellGroup]:
+        """Split chunk-major ``cells`` into the groups executors run.
 
-        When the backend advertises ``simulate_suite``, the first cell
-        of each chunk triggers one program-major call covering every
-        later program that still needs the chunk; the siblings land in
-        a cache and are journalled when the loop reaches them, so the
-        journal records exactly the cells, order and arrays of the
-        per-cell path while the backend builds each chunk's
-        configuration columns only once.
+        A suite-capable backend gets one group per chunk; any other
+        backend gets one group per cell.
         """
-        registry = get_registry()
-        breaker = CircuitBreaker(self.breaker_threshold)
-        use_suite = supports_suite(self.backend)
-        suite_cache: Dict[str, BatchResult] = {}
-        simulated, resumed, attempts = 0, 0, 0
-        failed: List[str] = []
-        pending: List[str] = []
-
-        for position, (profile, chunk_index) in enumerate(cells):
-            cell = f"{profile.name}:{chunk_index}"
-            start, stop = chunks[chunk_index]
-            if cell in completed:
-                with span(
-                    "resume.chunk", program=profile.name, chunk=chunk_index
-                ):
-                    batch = self.resume_cell(
-                        cell, completed[cell], stop - start
-                    )
-                self.fill_values(values, profile.name, start, stop, batch)
-                resumed += 1
-                continue
-            if max_cells is not None and simulated >= max_cells:
-                pending.extend(
-                    f"{p.name}:{i}"
-                    for p, i in cells[position:]
-                    if f"{p.name}:{i}" not in completed
-                )
-                break
-            chunk_configs = list(configs[start:stop])
-
-            batch = suite_cache.pop(cell, None) if use_suite else None
-            if batch is not None:
-                try:
-                    validate_batch(batch, f"for cell {cell}")
-                except SimulationError:
-                    batch = None  # distrust the cached copy; re-simulate
-            if batch is not None:
-                with span(
-                    "simulate.chunk", program=profile.name, chunk=chunk_index
-                ) as cell_span:
-                    if cell_span is not None:
-                        cell_span["attrs"]["attempts"] = 0
-                        cell_span["attrs"]["outcome"] = "ok"
-                self.store_cell(cell, profile.name, chunk_index, batch)
-                self.fill_values(values, profile.name, start, stop, batch)
-                simulated += 1
-                continue
-
-            def attempt() -> BatchResult:
-                nonlocal attempts
-                attempts += 1
-                if not use_suite:
-                    return self.backend.simulate_batch(profile, chunk_configs)
-                needed = [
-                    p
-                    for p, i in cells[position:]
-                    if i == chunk_index and f"{p.name}:{i}" not in completed
-                ]
-                results = self.backend.simulate_suite(needed, chunk_configs)
-                for other, result in zip(needed, results):
-                    suite_cache[f"{other.name}:{chunk_index}"] = result
-                return suite_cache.pop(cell)
-
-            before = attempts
-            outcome = "ok"
-            with span(
-                "simulate.chunk", program=profile.name, chunk=chunk_index
-            ) as cell_span:
-                try:
-                    batch = call_with_retry(
-                        attempt,
-                        self.retry_policy,
-                        seed=stable_seed(
-                            "campaign-retry", cell, str(self.seed)
-                        ),
-                        breaker=breaker,
-                        validate=lambda result: validate_batch(
-                            result, f"for cell {cell}"
-                        ),
-                        sleep=self._sleep,
-                        clock=self._clock,
-                    )
-                except CircuitOpenError:
-                    outcome = "circuit-open"
-                except SimulationError as error:
-                    if fail_fast:
-                        raise
-                    outcome = "failed"
-                    _log.warning(
-                        "cell %s failed permanently: %s", cell, error,
-                        extra={"event": "campaign.cell_failed",
-                               "cell": cell},
-                    )
-                if cell_span is not None:
-                    cell_span["attrs"]["attempts"] = attempts - before
-                    cell_span["attrs"]["outcome"] = outcome
-            if cell_span is not None:
-                # The span's duration is final only once the block exits.
-                registry.histogram("campaign.chunk.seconds").observe(
-                    cell_span["dur"]
-                )
-            if outcome == "circuit-open":
-                # The backend is down; stop burning attempts and leave
-                # everything from here on pending for a later resume.
-                pending.extend(
-                    f"{p.name}:{i}"
-                    for p, i in cells[position:]
-                    if f"{p.name}:{i}" not in completed
-                )
-                break
-            if outcome == "failed":
-                failed.append(cell)
-                continue
-            self.store_cell(cell, profile.name, chunk_index, batch)
-            self.fill_values(values, profile.name, start, stop, batch)
-            simulated += 1
-
-        return CampaignResult(
-            programs=programs,
-            configs=tuple(configs),
-            total_cells=len(cells),
-            simulated_cells=simulated,
-            resumed_cells=resumed,
-            failed_cells=tuple(failed),
-            pending_cells=tuple(pending),
-            attempts=attempts,
-            _values=values,
+        suite = supports_suite(self.backend)
+        runs = (
+            [list(run) for _, run in itertools.groupby(
+                cells, key=lambda cell: cell.chunk_index
+            )]
+            if suite else [[cell] for cell in cells]
         )
+        return [
+            CellGroup(
+                cells=tuple(cell.cell for cell in run),
+                profiles=tuple(cell.profile for cell in run),
+                configs=tuple(configs[run[0].start : run[0].stop]),
+                chunk_index=run[0].chunk_index,
+                retry_seed=stable_seed(
+                    "campaign-retry", run[0].cell, str(self.seed)
+                ),
+            )
+            for run in runs
+        ]
 
-    def _run_parallel(
+    def _execute(
         self,
-        programs: Tuple[str, ...],
-        configs: Sequence[Configuration],
-        chunks: List[Tuple[int, int]],
-        cells: List[Tuple[WorkloadProfile, int]],
-        completed: Dict[str, pathlib.Path],
-        values: Dict[Tuple[str, Metric], np.ndarray],
+        plan: CampaignPlan,
         max_cells: Optional[int],
         fail_fast: bool,
     ) -> CampaignResult:
-        """Fan the unfinished cells out over a process pool.
+        """Restore journalled cells, then run the rest group by group.
 
-        Resumed cells are all restored first (the parallel path never
-        stops mid-resume), then up to ``max_cells`` unfinished cells are
-        dispatched; the rest stay pending.  Suite-capable backends get
-        one task per *chunk* (every unfinished program at that chunk in
-        a single program-major call); everything else gets one task per
-        cell.  Results are journalled as the ordered ``map`` stream
-        delivers them, so an interrupted parallel run resumes exactly
-        like a serial one.  Each worker ships its telemetry (spans,
-        counters, chunk latencies) back with the batch; the parent
-        merges everything into the process-global registry/tracer, so
-        aggregate metrics match a serial run for deterministic backends.
+        Groups run chunk-major, so an interrupted run has computed only
+        what it journalled plus the group in flight.  ``n_jobs == 1``
+        maps :func:`run_group` in process with the campaign-wide
+        breaker and the ``sleep``/``clock`` hooks; ``n_jobs > 1`` maps
+        it over a process pool, each task with a private breaker and
+        its telemetry shipped back for merging.  Results are journalled
+        in group order either way.
         """
         registry = get_registry()
         tracer = get_tracer()
-        simulated, resumed, attempts = 0, 0, 0
-        failed: List[str] = []
-        todo: List[Tuple[str, WorkloadProfile, int, int, int]] = []
-        for profile, chunk_index in cells:
-            cell = f"{profile.name}:{chunk_index}"
-            start, stop = chunks[chunk_index]
-            if cell in completed:
-                with span(
-                    "resume.chunk", program=profile.name, chunk=chunk_index
-                ):
-                    batch = self.resume_cell(
-                        cell, completed[cell], stop - start
-                    )
-                self.fill_values(values, profile.name, start, stop, batch)
+        values: Dict[Tuple[str, Metric], np.ndarray] = {
+            (program, metric): np.full(len(plan.configs), np.nan)
+            for program in plan.programs
+            for metric in Metric.all()
+        }
+        resumed = 0
+        for cell in plan.cells:
+            if cell.cell in plan.completed:
                 resumed += 1
+                with span("resume.chunk", program=cell.profile.name,
+                          chunk=cell.chunk_index):
+                    batch = self.resume_cell(
+                        cell.cell, plan.completed[cell.cell],
+                        cell.stop - cell.start,
+                    )
+                self.fill_values(
+                    values, cell.profile.name, cell.start, cell.stop, batch
+                )
+        todo = list(plan.remaining)
+        pending = (
+            [cell.cell for cell in todo[max_cells:]]
+            if max_cells is not None else []
+        )
+        todo = todo[:max_cells]
+        groups = self._groups(todo, plan.configs)
+        by_id = {cell.cell: cell for cell in todo}
+        simulated, attempts = 0, 0
+        failed: List[str] = []
+        with contextlib.ExitStack() as stack:
+            if self.n_jobs > 1 and groups:
+                pool = stack.enter_context(ProcessPoolExecutor(
+                    max_workers=min(self.n_jobs, len(groups))
+                ))
+                outcomes = pool.map(functools.partial(
+                    run_group, backend=self.backend,
+                    policy=self.retry_policy, capture=True,
+                ), groups)
             else:
-                todo.append((cell, profile, chunk_index, start, stop))
-        pending: List[str] = []
-        if max_cells is not None and len(todo) > max_cells:
-            pending = [item[0] for item in todo[max_cells:]]
-            todo = todo[:max_cells]
-        if todo and supports_suite(self.backend):
-            # Program-major fast path: one task per chunk covering every
-            # unfinished program at that chunk, so each worker builds
-            # the chunk's configuration columns once.  The journal holds
-            # the same cells with the same arrays as the per-cell path,
-            # just appended chunk-major — resume reads the journal as a
-            # set, so the orders are interchangeable.
-            groups: Dict[
-                int, List[Tuple[str, WorkloadProfile, int, int, int]]
-            ] = {}
-            for item in todo:
-                groups.setdefault(item[2], []).append(item)
-            tasks = [
-                (
-                    self.backend,
-                    tuple(item[1] for item in group),
-                    list(configs[group[0][3] : group[0][4]]),
-                    self.retry_policy,
-                    stable_seed(
-                        "campaign-retry", f"suite:{chunk_index}",
-                        str(self.seed),
-                    ),
-                    tuple(item[0] for item in group),
-                    chunk_index,
-                )
-                for chunk_index, group in groups.items()
-            ]
-            workers = min(self.n_jobs, len(tasks))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = pool.map(_simulate_suite_worker, tasks)
-                for group, outcome in zip(groups.values(), outcomes):
-                    _, batches, suite_attempts, error, telemetry = outcome
-                    attempts += suite_attempts
-                    registry.merge(telemetry["metrics"])
-                    tracer.adopt(telemetry["spans"])
-                    if batches is None:
-                        if fail_fast:
-                            raise SimulationError(error)
-                        for cell, *_ in group:
-                            _log.warning(
-                                "cell %s failed permanently: %s", cell,
-                                error,
-                                extra={"event": "campaign.cell_failed",
-                                       "cell": cell},
-                            )
-                            failed.append(cell)
-                        continue
-                    for item, batch in zip(group, batches):
-                        cell, profile, chunk_index, start, stop = item
-                        self.store_cell(
-                            cell, profile.name, chunk_index, batch
-                        )
-                        self.fill_values(
-                            values, profile.name, start, stop, batch
-                        )
-                        simulated += 1
-        elif todo:
-            tasks = [
-                (
-                    self.backend,
-                    profile,
-                    list(configs[start:stop]),
-                    self.retry_policy,
-                    stable_seed("campaign-retry", cell, str(self.seed)),
-                    cell,
-                    chunk_index,
-                )
-                for cell, profile, chunk_index, start, stop in todo
-            ]
-            workers = min(self.n_jobs, len(tasks))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = pool.map(_simulate_cell_worker, tasks)
-                for item, outcome in zip(todo, outcomes):
-                    cell, profile, chunk_index, start, stop = item
-                    _, batch, cell_attempts, error, telemetry = outcome
-                    attempts += cell_attempts
-                    registry.merge(telemetry["metrics"])
-                    tracer.adopt(telemetry["spans"])
-                    if batch is None:
-                        if fail_fast:
-                            raise SimulationError(error)
+                outcomes = map(functools.partial(
+                    run_group, backend=self.backend,
+                    policy=self.retry_policy,
+                    breaker=CircuitBreaker(self.breaker_threshold),
+                    sleep=self._sleep, clock=self._clock,
+                ), groups)
+            for index, (group, outcome) in enumerate(zip(groups, outcomes)):
+                attempts += outcome.attempts
+                if outcome.telemetry is not None:
+                    registry.merge(outcome.telemetry["metrics"])
+                    tracer.adopt(outcome.telemetry["spans"])
+                if isinstance(outcome.error, CircuitOpenError):
+                    # The backend is down; stop burning attempts and
+                    # leave everything from here on for a later resume.
+                    pending[:0] = [
+                        cell for later in groups[index:]
+                        for cell in later.cells
+                    ]
+                    break
+                if outcome.error is not None:
+                    if fail_fast:
+                        raise outcome.error
+                    for cell in group.cells:
                         _log.warning(
-                            "cell %s failed permanently: %s", cell, error,
+                            "cell %s failed permanently: %s", cell,
+                            outcome.error,
                             extra={"event": "campaign.cell_failed",
                                    "cell": cell},
                         )
-                        failed.append(cell)
-                        continue
-                    self.store_cell(cell, profile.name, chunk_index, batch)
-                    self.fill_values(values, profile.name, start, stop, batch)
+                    failed.extend(group.cells)
+                    continue
+                for cell_id, batch in zip(group.cells, outcome.batches):
+                    cell = by_id[cell_id]
+                    self.store_cell(
+                        cell.cell, cell.profile.name, cell.chunk_index, batch
+                    )
+                    self.fill_values(
+                        values, cell.profile.name, cell.start, cell.stop,
+                        batch,
+                    )
                     simulated += 1
         return CampaignResult(
-            programs=programs,
-            configs=tuple(configs),
-            total_cells=len(cells),
+            programs=plan.programs,
+            configs=plan.configs,
+            total_cells=len(plan.cells),
             simulated_cells=simulated,
             resumed_cells=resumed,
             failed_cells=tuple(failed),
@@ -1045,9 +904,8 @@ class CampaignRunner:
     ) -> BatchResult:
         """Load a journalled cell back from disk, checking its shape.
 
-        Shared by the serial loop, the process-parallel loop and the
-        distributed coordinator, so every executor restores checkpoints
-        identically.
+        Shared by the campaign loop and the distributed coordinator, so
+        every executor restores checkpoints identically.
         """
         batch = self._load_cell(path)
         if len(batch) != expected:

@@ -269,8 +269,7 @@ class PredictionServer:
                     self._active_requests -= 1
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
         finally:
             self._connections.discard(writer)

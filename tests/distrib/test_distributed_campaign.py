@@ -203,7 +203,7 @@ class TestBitIdentical:
 
 
 class _BatchOnlyBackend:
-    """A pre-suite worker backend: ``simulate_batch`` and nothing else."""
+    """A worker backend with ``simulate_batch`` and nothing else."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -216,9 +216,9 @@ class TestSuiteCapability:
     def test_mixed_fleet_matches_serial(
         self, backend, tiny_suite, tiny_configs, tmp_path
     ):
-        """One suite-capable worker next to one legacy batch-only
-        worker: the coordinator bundles each according to its HELLO
-        flag and the journal stays bit-identical to a serial run."""
+        """One suite-capable worker next to one batch-only worker: the
+        same bundles run as one group or as groups of one cell, and the
+        journal stays bit-identical to a serial run."""
         serial_runner, serial = serial_result(
             backend, tiny_suite, tiny_configs, tmp_path
         )
@@ -246,30 +246,21 @@ class TestSuiteCapability:
                 "127.0.0.1", coordinator.port,
                 backend_factory=lambda: backend, worker_id="fast",
             )
-            legacy = CampaignWorker(
+            plain = CampaignWorker(
                 "127.0.0.1", coordinator.port,
                 backend_factory=lambda: _BatchOnlyBackend(backend),
-                worker_id="legacy",
+                worker_id="plain",
             )
             runs = [
                 asyncio.create_task(w.run_async())
-                for w in (fast, legacy)
+                for w in (fast, plain)
             ]
             result = await campaign
             await asyncio.gather(*runs, return_exceptions=True)
-            return coordinator, result, fast, legacy
+            return result
 
-        coordinator, result, fast, legacy = asyncio.run(scenario())
+        result = asyncio.run(scenario())
         assert result.complete
-        # The capability is derived from the backend, not configured.
-        assert fast.capabilities.simulate_suite is True
-        assert legacy.capabilities.simulate_suite is False
-        roster = {
-            entry["worker"]: entry
-            for entry in coordinator.membership.roster()
-        }
-        assert roster["fast"]["simulate_suite"] is True
-        assert roster["legacy"]["simulate_suite"] is False
         assert_matrices_identical(serial, result)
         assert journal_checksums(dist_runner) == journal_checksums(
             serial_runner
@@ -279,8 +270,8 @@ class TestSuiteCapability:
         self, backend, tiny_suite, tiny_configs, tmp_path
     ):
         """A lone suite-capable worker computes same-chunk bundles in
-        one backend call each: cache-served cells report attempts=0, so
-        the campaign's attempt total drops below its cell count."""
+        one backend call each: the group's other cells report
+        attempts=0, so the attempt total drops below the cell count."""
         serial_runner, serial = serial_result(
             backend, tiny_suite, tiny_configs, tmp_path
         )
@@ -585,11 +576,11 @@ class TestFaultTolerance:
             None,
             "junk",
             {},
-            {k: v for k, v in valid.items() if k != "simulate_suite"},
+            {k: v for k, v in valid.items() if k != "throughput"},
             {**valid, "cores": "8"},
             {**valid, "cores": True},
             {**valid, "throughput": "fast"},
-            {**valid, "simulate_suite": 1},
+            {**valid, "memory_mb": 1.5},
             {**valid, "cores": 0},
         ]
         replies = []

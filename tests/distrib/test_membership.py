@@ -28,8 +28,7 @@ class TestWorkerCapabilities:
 
     def test_wire_round_trip(self):
         original = WorkerCapabilities(cores=8, memory_mb=16384,
-                                      throughput=123.456,
-                                      simulate_suite=True)
+                                      throughput=123.456)
         assert WorkerCapabilities.from_wire(original.to_wire()) == original
 
     def test_from_wire_rejects_missing_capabilities(self):
@@ -49,7 +48,7 @@ class TestWorkerCapabilities:
         for key, wrong in (
             ("cores", "8"), ("cores", 2.0), ("cores", True),
             ("memory_mb", None), ("throughput", "fast"),
-            ("throughput", False), ("simulate_suite", 1),
+            ("throughput", False), ("memory_mb", 1.5),
         ):
             with pytest.raises(ProtocolError, match=key):
                 WorkerCapabilities.from_wire({**full, key: wrong})
@@ -114,7 +113,7 @@ class TestCapacityWeighting:
         fleet.hello("w0", caps(), now=0.0)
         fleet.hello("w1", caps(), now=0.0)
         assert fleet.weight("w0") == 1.0
-        assert fleet.bundle_size("w0") == 1
+        assert fleet.bundle_size("w0") == 2
         assert fleet.weight("unknown") == 1.0
 
     def test_bundle_scales_with_throughput_ratio(self):
@@ -123,36 +122,34 @@ class TestCapacityWeighting:
         fleet.hello("mid", caps(throughput=100.0), now=0.0)
         fleet.hello("slow", caps(throughput=50.0), now=0.0)
         assert fleet.weight("fast") == pytest.approx(3.0)
-        assert fleet.bundle_size("fast") == 3
-        assert fleet.bundle_size("mid") == 1
-        assert fleet.bundle_size("slow") == 1
+        assert fleet.bundle_size("fast") == 6
+        assert fleet.bundle_size("mid") == 2
+        assert fleet.bundle_size("slow") == 2
 
     def test_bundle_clamped_to_max_bundle(self):
         fleet = FleetMembership(max_bundle=2)
         fleet.hello("huge", caps(throughput=1000.0), now=0.0)
         fleet.hello("tiny", caps(throughput=10.0), now=0.0)
-        assert fleet.bundle_size("huge") == 2
+        assert fleet.bundle_size("huge") == 4  # 2 * max_bundle
 
     def test_slow_flag_forces_bundle_of_one(self):
         fleet = FleetMembership(max_bundle=4)
         fleet.hello("fast", caps(throughput=400.0), now=0.0)
         fleet.hello("p0", caps(throughput=100.0), now=0.0)
         fleet.hello("p1", caps(throughput=100.0), now=0.0)
-        assert fleet.bundle_size("fast") == 4  # 400 / median 100
+        assert fleet.bundle_size("fast") == 8  # 2 * 400 / median 100
         fleet.get("fast").slow = True
         assert fleet.bundle_size("fast") == 1
 
     def test_suite_capable_bundle_is_doubled(self):
-        suite = WorkerCapabilities(throughput=100.0, simulate_suite=True)
+        """Every bundle is sized for a suite worker, which runs its
+        same-chunk cells as one program-major call: double the weight,
+        against double the ceiling."""
         fleet = FleetMembership(max_bundle=4)
-        fleet.hello("suite", suite, now=0.0)
-        fleet.hello("plain", caps(throughput=100.0), now=0.0)
-        # Same weight, but the suite worker amortises a whole bundle
-        # into one program-major call: double size, double ceiling.
-        assert fleet.bundle_size("plain") == 1
+        fleet.hello("suite", caps(throughput=100.0), now=0.0)
+        fleet.hello("peer", caps(throughput=100.0), now=0.0)
         assert fleet.bundle_size("suite") == 2
-        fleet.hello("big", WorkerCapabilities(
-            throughput=600.0, simulate_suite=True), now=0.0)
+        fleet.hello("big", caps(throughput=600.0), now=0.0)
         assert fleet.bundle_size("big") == 8  # 2 * max_bundle ceiling
         # Slow still wins: a straggler never gets a bundle.
         fleet.get("suite").slow = True
@@ -223,8 +220,7 @@ class TestRoster:
         assert w1["active"] is True
         # w0 left, so the active-peer median is w1's own throughput.
         assert w1["weight"] == pytest.approx(1.0, abs=0.001)
-        assert w1["bundle_size"] == 1
-        assert w1["simulate_suite"] is False
+        assert w1["bundle_size"] == 2
         assert w1["age_seconds"] == pytest.approx(5.0)
         import json
 

@@ -128,11 +128,11 @@ class _TraceBlindWorker(CampaignWorker):
     """A worker that blanks the task's trace context, so its spans
     arrive trace-id-less — as a ``--jobs`` pool child's do."""
 
-    async def _run_task(self, reader, writer, task, *args, **kwargs):
-        task = dict(task)
-        task["trace"] = {"trace_id": None, "parent_id": None}
-        return await super()._run_task(
-            reader, writer, task, *args, **kwargs
+    async def _run_group(self, reader, writer, tasks, *args, **kwargs):
+        blank = {"trace_id": None, "parent_id": None}
+        tasks = [dict(task, trace=blank) for task in tasks]
+        return await super()._run_group(
+            reader, writer, tasks, *args, **kwargs
         )
 
 

@@ -1,8 +1,9 @@
 """The shared HTTP/1.1 request parser and the read-only endpoint.
 
-A malformed ``Content-Length`` must be answered with a 400 and a closed
-connection (never a silently dropped socket), header values must keep
-their case, and ``Connection: close`` must be honoured in any case.
+A malformed ``Content-Length`` or a line longer than the reader's
+limit must be answered with a 400 and a closed connection (never a
+silently dropped socket), header values must keep their case, and
+``Connection: close`` must be honoured in any case.
 """
 
 from __future__ import annotations
@@ -77,6 +78,19 @@ class TestEndpointRejections:
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"Connection: close" in head
         assert b"Content-Length" in answer.split(b"\r\n\r\n", 1)[1]
+
+    @pytest.mark.parametrize("where", ["request line", "header line"])
+    def test_overlong_line_gets_400_and_close(self, where):
+        filler = b"a" * 70_000  # past the 64 KiB StreamReader limit
+        answer = _exchange(
+            b"GET /" + filler + b" HTTP/1.1\r\n\r\n"
+            if where == "request line"
+            else b"GET /healthz HTTP/1.1\r\nX-Big: " + filler + b"\r\n\r\n"
+        )
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert b"too long" in body
 
     def test_connection_close_is_case_insensitive(self):
         answer = _exchange(

@@ -9,6 +9,7 @@ output bit.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -178,22 +179,65 @@ class TestParallelParity:
     def test_parallel_spans_carry_worker_attrs(
         self, backend, tiny_suite, tiny_configs, tmp_path
     ):
-        """A suite-capable backend gets one program-major task per
-        chunk, so the workers emit one ``simulate.suite`` span each."""
+        """A suite-capable backend gets one group per chunk: its first
+        cell's span carries the backend call, the others report
+        ``attempts=0``, and every span comes from a pool child stamped
+        with the campaign's trace id."""
         runner = CampaignRunner(
             backend, tmp_path / "par", chunk_size=16, n_jobs=2
         )
         with scoped_tracer() as tracer:
             result = runner.run(tiny_suite, tiny_configs)
-        suite_spans = [
-            s for s in tracer.spans if s["name"] == "simulate.suite"
+        chunk_spans = [
+            s for s in tracer.spans if s["name"] == "simulate.chunk"
         ]
-        chunks = result.total_cells // len(result.programs)
-        assert len(suite_spans) == chunks
-        for record in suite_spans:
+        assert len(chunk_spans) == result.simulated_cells
+        for record in chunk_spans:
             assert record["attrs"]["outcome"] == "ok"
-            assert record["attrs"]["attempts"] == 1
-            assert record["attrs"]["programs"] == len(result.programs)
+            assert record["pid"] != os.getpid()
+            assert record["trace_id"] == tracer.trace_id
+        attempts = [record["attrs"]["attempts"] for record in chunk_spans]
+        chunks = result.total_cells // len(result.programs)
+        assert attempts.count(1) == chunks
+        assert sum(attempts) == result.attempts == chunks
+
+    def test_executors_emit_equal_chunk_telemetry(
+        self, backend, tiny_suite, tiny_configs, tmp_path
+    ):
+        """Serial, ``--jobs 2`` and a one-worker distributed campaign
+        over the suite backend emit one ``simulate.chunk`` span per
+        simulated cell and one ``campaign.chunk.seconds`` observation
+        per backend call.  Two programs, so a worker's bundle of two
+        cells holds one whole chunk, as the serial loop's group does."""
+        from tests.distrib.test_distributed_campaign import distributed
+
+        programs = tiny_suite.subset(("gzip", "applu"))
+        counts = {}
+        for label in ("serial", "jobs2", "distributed"):
+            runner = CampaignRunner(
+                backend, tmp_path / label, chunk_size=16,
+                n_jobs=2 if label == "jobs2" else 1,
+            )
+            with scoped_registry() as registry, scoped_tracer() as tracer:
+                if label == "distributed":
+                    _, result = distributed(
+                        runner, programs, tiny_configs, n_workers=1,
+                        backend_factory=lambda: backend,
+                    )
+                else:
+                    result = runner.run(programs, tiny_configs)
+                assert result.complete
+                counts[label] = {
+                    "simulated": result.simulated_cells,
+                    "spans": tracer.count("simulate.chunk"),
+                    "chunk.count": registry.histogram(
+                        "campaign.chunk.seconds"
+                    ).count,
+                    "attempts": result.attempts,
+                }
+        assert counts["serial"] == counts["jobs2"] == counts["distributed"]
+        assert counts["serial"]["spans"] == counts["serial"]["simulated"]
+        assert counts["serial"]["chunk.count"] == counts["serial"]["attempts"]
 
     def test_parallel_cell_spans_for_batch_only_backends(
         self, backend, tiny_suite, tiny_configs, tmp_path

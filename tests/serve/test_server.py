@@ -281,6 +281,23 @@ class TestMalformedRequests:
         with server.client() as client:
             assert client.healthz()["status"] == "ok"
 
+    @pytest.mark.parametrize("where", ["request line", "header line"])
+    def test_overlong_line_gets_400_and_close(self, harness, where):
+        server = harness()
+        filler = b"a" * 70_000  # past the 64 KiB StreamReader limit
+        answer = _raw_exchange(
+            server.port,
+            b"GET /" + filler + b" HTTP/1.1\r\n\r\n"
+            if where == "request line"
+            else b"GET /healthz HTTP/1.1\r\nX-Big: " + filler + b"\r\n\r\n",
+        )
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "too long" in json.loads(body)["error"]
+        with server.client() as client:
+            assert client.healthz()["status"] == "ok"
+
     def test_connection_close_honoured_in_any_case(self, harness):
         server = harness()
         answer = _raw_exchange(

@@ -432,16 +432,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "until the coordinator drains us)",
     )
     worker.add_argument(
-        "--sim-repeat", type=int, default=1,
-        help="simulate each chunk N times, keeping the last result — "
-        "deterministic, bit-identical, and N times slower; emulates an "
-        "expensive simulator for scaling studies",
-    )
-    worker.add_argument(
         "--sim-delay", type=float, default=0.0,
-        help="add this many seconds of latency to each chunk — "
-        "emulates an expensive off-host simulator so scaling "
-        "benchmarks can overlap workers on a shared test machine",
+        help="add this many seconds of latency to each backend call — "
+        "emulates an expensive off-host simulator, so a smoke test can "
+        "kill the worker mid-lease",
     )
     worker.add_argument(
         "--connect-timeout", type=float, default=10.0,
@@ -1122,7 +1116,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
     from repro.obs import build_manifest, get_tracer, write_manifest
-    from repro.serve import ModelRegistry, serve_fleet_forever, serve_forever
+    from repro.serve import ModelRegistry, serve_forever
 
     if args.workers < 1:
         print("serve needs at least one worker", file=sys.stderr)
@@ -1158,53 +1152,35 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "run_id": record.run.get("run_id"),
         }
 
-    def _ready(server) -> None:
-        print(f"serving on http://{server.host}:{server.port} "
-              f"(metric {server.model_info['metric']}); "
-              "SIGTERM/Ctrl-C drains and stops", file=sys.stderr)
-
-    def _fleet_ready(fleet) -> None:
-        print(f"serving {fleet.workers} workers on "
-              f"http://{fleet.host}:{fleet.port} ({fleet.mode}); "
+    def _ready(bound) -> None:
+        if args.workers > 1:
+            serving = f"serving {args.workers} workers on"
+        else:
+            serving = "serving on"
+        print(f"{serving} http://{bound.host}:{bound.port} "
+              f"(metric {predictor.metric.value}); "
               "SIGTERM/Ctrl-C drains and stops", file=sys.stderr)
 
     exit_code = 0
     try:
-        if args.workers > 1:
-            report = serve_fleet_forever(
-                predictor,
-                args.workers,
-                host=args.host,
-                port=args.port,
-                model_info=model_info,
-                server_options={
-                    "max_batch": args.max_batch,
-                    "batch_window": args.batch_window_ms / 1000.0,
-                    "cache_size": args.cache_size,
-                    "queue_limit": args.queue_limit,
-                    "max_inflight": args.max_inflight,
-                    "client_rate": args.client_rate,
-                    "client_burst": args.client_burst,
-                },
-                ready_callback=_fleet_ready,
-            )
+        report = serve_forever(
+            predictor,
+            host=args.host,
+            port=args.port,
+            model_info=model_info,
+            workers=args.workers,
+            max_batch=args.max_batch,
+            batch_window=args.batch_window_ms / 1000.0,
+            cache_size=args.cache_size,
+            queue_limit=args.queue_limit,
+            max_inflight=args.max_inflight,
+            client_rate=args.client_rate,
+            client_burst=args.client_burst,
+            ready_callback=_ready,
+        )
+        if report is not None:
             print(f"fleet exit: {report.exit_codes}", file=sys.stderr)
             exit_code = 0 if report.clean else 1
-        else:
-            serve_forever(
-                predictor,
-                host=args.host,
-                port=args.port,
-                model_info=model_info,
-                max_batch=args.max_batch,
-                batch_window=args.batch_window_ms / 1000.0,
-                cache_size=args.cache_size,
-                queue_limit=args.queue_limit,
-                max_inflight=args.max_inflight,
-                client_rate=args.client_rate,
-                client_burst=args.client_burst,
-                ready_callback=_ready,
-            )
     finally:
         # Written on every exit path — the server's lifetime metrics
         # and model identity survive a SIGTERM'd pod.
@@ -1322,15 +1298,17 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.distrib import CampaignWorker, ProtocolError
+    from repro.distrib import CampaignWorker, DelayBackend, ProtocolError
+    from repro.runtime import IntervalBackend
 
     host, port = args.connect
     worker = CampaignWorker(
         host,
         port,
+        backend_factory=lambda: DelayBackend(
+            IntervalBackend(), args.sim_delay
+        ),
         max_tasks=args.max_tasks,
-        sim_repeat=args.sim_repeat,
-        sim_delay=args.sim_delay,
         connect_timeout=args.connect_timeout,
         reconnect_attempts=args.reconnect_attempts,
         reconnect_delay=args.reconnect_delay,
@@ -1483,7 +1461,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro.designspace import sample_configurations
-    from repro.distrib import ChaosPlan, RepeatBackend
+    from repro.distrib import ChaosPlan, DelayBackend
     from repro.distrib.chaos import (
         journal_checksums,
         run_chaos_campaign_sync,
@@ -1533,8 +1511,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         configs,
         plan,
         n_workers=args.workers,
-        backend_factory=lambda: RepeatBackend(
-            IntervalBackend(IntervalSimulator()), delay=args.sim_delay
+        backend_factory=lambda: DelayBackend(
+            IntervalBackend(IntervalSimulator()), args.sim_delay
         ),
         coordinator_kwargs={
             "lease_timeout": args.lease_timeout,

@@ -34,7 +34,7 @@ Public surface:
 * :class:`CampaignCoordinator` / :class:`CoordinatorStats` — the
   serving side (``repro coordinator``), plus :func:`fetch_status`
   (``repro status`` over the coordinator's HTTP ``/status``).
-* :class:`CampaignWorker` / :class:`RepeatBackend` /
+* :class:`CampaignWorker` / :class:`DelayBackend` /
   :class:`CoordinatorLost` — the executing side (``repro worker``).
 * :class:`FleetMembership` / :class:`WorkerCapabilities` /
   :func:`detect_capabilities` — the roster and capacity model.
@@ -83,7 +83,7 @@ from .wire import (
     profile_from_wire,
     profile_to_wire,
 )
-from .worker import CampaignWorker, CoordinatorLost, RepeatBackend
+from .worker import CampaignWorker, CoordinatorLost, DelayBackend
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -96,9 +96,9 @@ __all__ = [
     "ChaosWireFilter",
     "CoordinatorLost",
     "CoordinatorStats",
+    "DelayBackend",
     "FleetMembership",
     "ProtocolError",
-    "RepeatBackend",
     "WorkerCapabilities",
     "batch_checksum",
     "batch_from_wire",

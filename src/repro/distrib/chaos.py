@@ -48,7 +48,7 @@ from repro.runtime.campaign import CampaignResult, CampaignRunner
 from repro.runtime.faults import derive_rng
 
 from .coordinator import CampaignCoordinator, CoordinatorStats
-from .worker import CampaignWorker, RepeatBackend
+from .worker import CampaignWorker, DelayBackend
 
 __all__ = [
     "CHAOS_ACTIONS",
@@ -420,9 +420,9 @@ async def run_chaos_campaign(
 
         timers.append(asyncio.create_task(fire()))
 
-    def ensure_repeat_backend(handle: _WorkerHandle) -> RepeatBackend:
-        if not isinstance(handle.worker.backend, RepeatBackend):
-            handle.worker.backend = RepeatBackend(handle.worker.backend)
+    def ensure_delay_backend(handle: _WorkerHandle) -> DelayBackend:
+        if not isinstance(handle.worker.backend, DelayBackend):
+            handle.worker.backend = DelayBackend(handle.worker.backend, 0.0)
             handle.base_delay = 0.0
         return handle.worker.backend
 
@@ -480,7 +480,7 @@ async def run_chaos_campaign(
                     after(event.duration, _reset)
             elif event.action == "slow" and target in workers:
                 handle = workers[target]
-                backend = ensure_repeat_backend(handle)
+                backend = ensure_delay_backend(handle)
                 base = handle.base_delay if handle.base_delay > 0 else 0.01
                 backend.delay = event.factor * base
                 if event.duration > 0:

@@ -59,7 +59,7 @@ from .wire import (
     profile_from_wire,
 )
 
-__all__ = ["CampaignWorker", "CoordinatorLost", "RepeatBackend"]
+__all__ = ["CampaignWorker", "CoordinatorLost", "DelayBackend"]
 
 _log = get_logger(__name__)
 
@@ -73,40 +73,26 @@ class CoordinatorLost(ConnectionError):
     """
 
 
-class RepeatBackend:
-    """Make each batch slower without changing a single bit of it.
+class DelayBackend:
+    """Make each backend call slower without changing a single bit of it.
 
-    A deterministic backend returns the same arrays every repetition, so
-    wrapping it changes nothing about the campaign's numbers — only how
-    long each cell takes.  Benchmarks and smoke tests use it to emulate
-    an expensive simulator (the interval model is so fast that protocol
-    overhead would otherwise dominate any scaling measurement) without
-    giving up bit-identical results.
-
-    ``repeat`` burns CPU, modelling a slow simulator on the worker's
-    own core.  ``delay`` sleeps, modelling a worker whose host runs the
-    expensive simulation elsewhere (or simply has its own CPU) — the
-    only way a scaling benchmark can show real worker overlap when all
-    the worker processes share one test machine's cores.
+    The wrapped backend's arrays pass through untouched, so wrapping it
+    changes nothing about the campaign's numbers — only how long each
+    call takes.  Smoke tests and the chaos harness use it to emulate an
+    expensive simulator on another host (or with its own CPU): a worker
+    slow enough to kill mid-lease or to be overtaken by a thief, even
+    when every worker process shares one test machine's cores.
 
     Args:
         backend: The wrapped backend.
-        repeat: How many times to run each batch (at least 1).
-        delay: Extra seconds of latency added to each batch.
+        delay: Seconds slept before each ``simulate_batch`` or
+            ``simulate_suite`` call.
     """
 
-    def __init__(
-        self,
-        backend: SimulationBackend,
-        repeat: int = 1,
-        delay: float = 0.0,
-    ) -> None:
-        if repeat < 1:
-            raise ValueError("repeat must be at least 1")
+    def __init__(self, backend: SimulationBackend, delay: float) -> None:
         if delay < 0:
             raise ValueError("delay must not be negative")
         self.backend = backend
-        self.repeat = repeat
         self.delay = delay
         # Mirror the wrapped backend's suite capability: the attribute
         # only exists when the inner backend has one, so
@@ -115,19 +101,13 @@ class RepeatBackend:
             self.simulate_suite = self._simulate_suite
 
     def simulate_batch(self, profile, configs) -> BatchResult:
-        """Delay, burn ``repeat - 1`` runs, return the final result."""
-        if self.delay:
-            time.sleep(self.delay)
-        for _ in range(self.repeat - 1):
-            self.backend.simulate_batch(profile, configs)
+        """Sleep ``delay`` seconds, then simulate."""
+        time.sleep(self.delay)
         return self.backend.simulate_batch(profile, configs)
 
     def _simulate_suite(self, profiles, configs) -> List[BatchResult]:
-        """Suite twin of :meth:`simulate_batch`: delay, burn, return."""
-        if self.delay:
-            time.sleep(self.delay)
-        for _ in range(self.repeat - 1):
-            self.backend.simulate_suite(profiles, configs)
+        """Suite twin of :meth:`simulate_batch`."""
+        time.sleep(self.delay)
         return self.backend.simulate_suite(profiles, configs)
 
 
@@ -146,10 +126,6 @@ class CampaignWorker:
             ``<hostname>-<pid-entropy>``).
         max_tasks: Stop after completing this many tasks (``None`` runs
             until drained); the test hook for worker churn.
-        sim_repeat: Wrap the backend in :class:`RepeatBackend` with this
-            count when > 1.
-        sim_delay: Extra seconds of :class:`RepeatBackend` latency per
-            batch (emulates an expensive off-host simulator).
         connect_timeout: Seconds to keep retrying the initial connect —
             covers the coordinator still binding its socket when worker
             processes launch first.
@@ -170,15 +146,11 @@ class CampaignWorker:
         backend_factory: Optional[Callable[[], SimulationBackend]] = None,
         worker_id: Optional[str] = None,
         max_tasks: Optional[int] = None,
-        sim_repeat: int = 1,
-        sim_delay: float = 0.0,
         connect_timeout: float = 10.0,
         reconnect_attempts: int = 0,
         reconnect_delay: float = 0.5,
         capabilities: Optional[WorkerCapabilities] = None,
     ) -> None:
-        if sim_repeat < 1:
-            raise ValueError("sim_repeat must be at least 1")
         if reconnect_attempts < 0:
             raise ValueError("reconnect_attempts must not be negative")
         if reconnect_delay <= 0:
@@ -208,10 +180,7 @@ class CampaignWorker:
         self.wire_filter = None
         if backend_factory is None:
             backend_factory = _default_backend
-        backend = backend_factory()
-        if sim_repeat > 1 or sim_delay > 0:
-            backend = RepeatBackend(backend, sim_repeat, delay=sim_delay)
-        self.backend = backend
+        self.backend = backend_factory()
         self.tasks_completed = 0
         self._draining = False
         # Private instruments: shipped with each result, merged

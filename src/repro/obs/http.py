@@ -57,14 +57,15 @@ async def read_request(
     reader: asyncio.StreamReader, max_body: int = MAX_BODY
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
     """Parse one HTTP/1.1 request; ``None`` on a cleanly closed
-    connection.  Returns ``(method, target, headers, body)`` with the
-    method upper-cased and header names lower-cased; header values keep
-    their case.
+    connection or a blank request line.  Returns
+    ``(method, target, headers, body)`` with the method upper-cased and
+    header names lower-cased; header values keep their case.
 
     Raises:
-        BadRequest: on a request or header line longer than the
-            reader's limit, or a ``Content-Length`` that is not a
-            decimal byte count.
+        BadRequest: on a request line that is not
+            ``METHOD TARGET HTTP/x``, a request or header line longer
+            than the reader's limit, or a ``Content-Length`` that is
+            not a decimal byte count.
         ConnectionError: on a body larger than ``max_body``.
         asyncio.IncompleteReadError: when the body ends early.
     """
@@ -74,9 +75,11 @@ async def read_request(
         return None
     if not request_line:
         return None
-    parts = request_line.decode("latin-1").strip().split()
-    if len(parts) != 3:
+    parts = request_line.decode("latin-1").split()
+    if not parts:
         return None
+    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+        raise BadRequest("malformed request line")
     method, target, _version = parts
     headers: Dict[str, str] = {}
     while True:

@@ -20,8 +20,6 @@ Public surface:
   the benchmark.
 * :func:`pick_response_indices` — active-learning response selection
   beating the paper's random R = 32 draw at equal budget.
-* The classic one-shot strategies (:func:`hill_climb`,
-  :func:`simulated_annealing`, :func:`pareto_front`, ...).
 """
 
 from .agents import (
@@ -54,17 +52,6 @@ from .responses import (
     pick_response_indices,
 )
 from .runner import SearchOutcome, run_search, write_frontier
-from .strategies import (
-    Predictor,
-    RankedCandidate,
-    SearchResult,
-    TradeOffPoint,
-    dominated_fraction,
-    hill_climb,
-    pareto_front,
-    predicted_best,
-    simulated_annealing,
-)
 
 __all__ = [
     "AGENT_NAMES",
@@ -78,26 +65,17 @@ __all__ = [
     "Observation",
     "Oracle",
     "ParetoArchive",
-    "Predictor",
     "PredictorOracle",
     "RESPONSE_STRATEGIES",
     "RandomAgent",
-    "RankedCandidate",
     "SearchOutcome",
-    "SearchResult",
     "SimulationOracle",
-    "TradeOffPoint",
-    "dominated_fraction",
     "dominated_fraction_nd",
-    "hill_climb",
     "hypervolume",
     "make_agent",
-    "pareto_front",
     "pareto_indices",
     "pick_response_indices",
-    "predicted_best",
     "run_search",
-    "simulated_annealing",
     "suggest_reference",
     "write_frontier",
 ]

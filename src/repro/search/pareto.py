@@ -1,7 +1,7 @@
 """Multi-objective Pareto machinery: fronts, archives, hypervolume.
 
-The closed-loop optimizer needs three primitives the two-metric
-``pareto_front`` of the original exploration module could not provide:
+The closed-loop optimizer needs three primitives over any number of
+objectives:
 
 * :func:`pareto_indices` — the non-dominated subset of an arbitrary
   (n, k) objective matrix, with *validated* input: NaN/Inf metric
@@ -114,9 +114,6 @@ def pareto_indices(values) -> np.ndarray:
 
 def dominated_fraction_nd(front, points) -> float:
     """Fraction of ``points`` dominated by at least one ``front`` row.
-
-    The k-objective generalisation of the classic two-metric
-    :func:`repro.search.strategies.dominated_fraction` quality measure.
 
     Raises:
         ValueError: on empty ``points``, mismatched objective counts,

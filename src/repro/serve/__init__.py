@@ -12,7 +12,8 @@ infrastructure, dependency-free:
   asyncio HTTP service (``repro serve``) that coalesces concurrent
   requests into vectorised batches and caches repeated configurations,
   with ``/healthz`` and ``/metrics`` endpoints, bounded-queue
-  backpressure (503 + ``Retry-After``) and graceful SIGTERM drain.
+  backpressure (503 + ``Retry-After``) and graceful SIGTERM drain, in
+  one process or as a fleet.
 * :class:`PredictionBatcher` / :class:`LRUCache` — the coalescing
   machinery, usable without the HTTP layer.
 * :class:`PredictionClient` — a small blocking client for benchmarks,
@@ -21,10 +22,9 @@ infrastructure, dependency-free:
 * :class:`AdmissionController` / :class:`TokenBucket` — per-client
   token-bucket quotas plus a global in-flight cap, shedding load with
   503 + ``Retry-After`` *before* queueing delay collapses latency.
-* :class:`ServingFleet` / :func:`serve_fleet_forever` — a prefork
-  multi-process fleet (``repro serve --workers N``) sharing one port
-  via ``SO_REUSEPORT`` (or an inherited listening socket), with
-  coordinated SIGTERM drain and parent-side metrics merging.
+* :class:`ServingFleet` — a prefork multi-process fleet
+  (``repro serve --workers N``) sharing one port via ``SO_REUSEPORT``,
+  with coordinated SIGTERM drain and parent-side metrics merging.
 
 Exactness is the design anchor: the server predicts through the
 batch-composition-invariant forward path
@@ -36,7 +36,7 @@ directly, regardless of how requests were batched or cached.
 from .admission import AdmissionController, AdmissionDecision, TokenBucket
 from .batching import LRUCache, PredictionBatcher, ServerSaturated
 from .client import PredictionClient, ServerError
-from .fleet import FleetReport, ServingFleet, serve_fleet_forever
+from .fleet import FleetReport, ServingFleet
 from .registry import ModelRecord, ModelRegistry, RECORD_SCHEMA
 from .server import PredictionServer, serve_forever
 
@@ -55,6 +55,5 @@ __all__ = [
     "ServerSaturated",
     "ServingFleet",
     "TokenBucket",
-    "serve_fleet_forever",
     "serve_forever",
 ]

@@ -12,9 +12,11 @@ fairly:
 * **A global in-flight cap** — a hard bound on requests concurrently
   inside the server, independent of which clients sent them.
 
-Rejections carry a ``Retry-After`` hint computed from the bucket state
-(time until the next token), which the
-:class:`~repro.serve.client.PredictionClient` retry path honours.
+Rejections carry a ``Retry-After`` hint computed from the bucket state:
+the time until the next token, rounded up, so a retry at the hint (or
+at the header value) finds the token there.  A request refused by the
+in-flight cap spends no token.  The client never retries on its own;
+it surfaces the hint to the caller.
 
 Everything here is synchronous, allocation-light and driven by an
 injectable clock (tests use a fake one); it runs on the event loop, so
@@ -59,17 +61,26 @@ class TokenBucket:
 
     def try_take(self, now: float) -> float:
         """Take one token; returns 0.0 on success, else the seconds
-        until one becomes available."""
+        until one becomes available: a take at ``now`` plus that wait
+        succeeds (when nothing else took the token first)."""
         if self._stamp is not None:
             self._tokens = min(
-                float(self.burst),
-                self._tokens + (now - self._stamp) * self.rate,
+                float(self.burst), self._refilled(now, self._stamp)
             )
         self._stamp = now
         if self._tokens >= 1.0:
             self._tokens -= 1.0
             return 0.0
-        return (1.0 - self._tokens) / self.rate
+        wait = (1.0 - self._tokens) / self.rate
+        # Rounding can leave the refill at now + wait an ulp short of a
+        # whole token; lengthen the wait until the take's own
+        # arithmetic reaches one.
+        while (short := 1.0 - self._refilled(now + wait, now)) > 0:
+            wait += max(2.0 * short / self.rate, math.ulp(now + wait))
+        return wait
+
+    def _refilled(self, now: float, stamp: float) -> float:
+        return self._tokens + (now - stamp) * self.rate
 
 
 @dataclass(frozen=True)
@@ -79,6 +90,15 @@ class AdmissionDecision:
     admitted: bool
     reason: str = ""           # "quota" | "inflight-cap" when refused
     retry_after: float = 0.0   # seconds; the 503 Retry-After hint
+
+    @property
+    def retry_after_header(self) -> str:
+        """:attr:`retry_after` as a ``Retry-After`` value in hundredths
+        of a second, rounded up so a retry at the value is admitted."""
+        cents = math.ceil(self.retry_after * 100)
+        if cents / 100 < self.retry_after:
+            cents += 1
+        return f"{cents / 100:.2f}"
 
 
 _ADMITTED = AdmissionDecision(admitted=True)
@@ -134,19 +154,22 @@ class AdmissionController:
 
     def try_admit(self, client_id: str) -> AdmissionDecision:
         """Admit one request for ``client_id`` (pair with
-        :meth:`release` in a ``finally``) or refuse with a hint."""
-        if self.client_rate > 0:
-            wait = self._bucket(client_id).try_take(self._clock())
-            if wait > 0:
-                return AdmissionDecision(
-                    admitted=False, reason="quota", retry_after=wait
-                )
+        :meth:`release` in a ``finally``) or refuse with a hint.
+
+        The in-flight cap is checked first, so a request it refuses
+        leaves the client's bucket untouched."""
         if self.max_inflight and self._inflight >= self.max_inflight:
             return AdmissionDecision(
                 admitted=False,
                 reason="inflight-cap",
                 retry_after=_INFLIGHT_RETRY_AFTER,
             )
+        if self.client_rate > 0:
+            wait = self._bucket(client_id).try_take(self._clock())
+            if wait > 0:
+                return AdmissionDecision(
+                    admitted=False, reason="quota", retry_after=wait
+                )
         self._inflight += 1
         return _ADMITTED
 

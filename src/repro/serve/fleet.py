@@ -4,16 +4,11 @@
 processes answering on one ``host:port``.  The parent loads the
 published predictor **once**; workers are forked, so every process
 reads the same registry snapshot through copy-on-write memory instead
-of N loads.  Two socket-sharing modes:
-
-* ``reuse-port`` (default where available) — every worker binds its
-  own listening socket with ``SO_REUSEPORT`` and the kernel balances
-  incoming connections across them.  The parent holds a bound (never
-  listening) placeholder on the port from before the first fork until
-  every worker is ready, so port 0 resolves once and no stranger can
-  grab the port in between.
-* ``shared-socket`` (fallback) — the parent binds and listens once
-  and every forked worker accepts from the same inherited socket.
+of N loads.  Every worker binds its own listening socket with
+``SO_REUSEPORT`` and the kernel balances incoming connections across
+them.  The parent holds a bound (never listening) placeholder on the
+port from before the first fork until every worker is ready, so port 0
+resolves once and no stranger can grab the port in between.
 
 Lifecycle is supervisor-shaped: the parent relays SIGTERM to every
 worker (each drains gracefully — in-flight requests answered, new
@@ -35,24 +30,15 @@ import shutil
 import signal
 import socket
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs import get_logger, get_registry
 
-__all__ = ["FleetReport", "ServingFleet", "serve_fleet_forever"]
+__all__ = ["FleetReport", "ServingFleet"]
 
 _log = get_logger("serve.fleet")
-
-#: Socket-sharing modes (see the module docstring).
-FLEET_MODES = ("auto", "reuse-port", "shared-socket")
-
-
-def reuse_port_available() -> bool:
-    """Whether this platform exposes ``SO_REUSEPORT``."""
-    return hasattr(socket, "SO_REUSEPORT")
 
 
 @dataclass
@@ -78,14 +64,16 @@ class ServingFleet:
         host / port: Shared bind address (port 0 picks a free one,
             resolved before the first fork).
         model_info: Identity dict forwarded to every worker.
-        server_options: Keyword arguments for each worker's
-            :class:`PredictionServer` (``max_batch``, ``cache_size``,
-            ...) plus the admission scalars
-            ``max_inflight`` / ``client_rate`` / ``client_burst``,
-            from which each worker builds its own
+        max_batch / batch_window / cache_size / queue_limit: Each
+            worker's :class:`PredictionServer` batcher settings.
+        max_inflight / client_rate / client_burst: Admission limits;
+            each worker builds its own
             :class:`~repro.serve.admission.AdmissionController`
             (admission state is per worker).
-        mode: ``auto`` | ``reuse-port`` | ``shared-socket``.
+
+    Raises:
+        RuntimeError: where the platform lacks ``fork`` or
+            ``SO_REUSEPORT``.
     """
 
     def __init__(
@@ -95,39 +83,45 @@ class ServingFleet:
         host: str = "127.0.0.1",
         port: int = 0,
         model_info: Optional[Dict] = None,
-        server_options: Optional[Dict] = None,
-        mode: str = "auto",
+        max_batch: int = 64,
+        batch_window: float = 0.002,
+        cache_size: int = 4096,
+        queue_limit: int = 1024,
+        max_inflight: int = 0,
+        client_rate: float = 0.0,
+        client_burst: int = 0,
     ) -> None:
         if workers < 1:
             raise ValueError("a fleet needs at least one worker")
-        if mode not in FLEET_MODES:
-            raise ValueError(
-                f"unknown fleet mode {mode!r}; expected one of "
-                f"{', '.join(FLEET_MODES)}"
-            )
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
                 "a serving fleet needs the fork start method (the "
-                "predictor and sockets are inherited, not pickled); "
-                "this platform does not support it"
+                "predictor is inherited, not pickled); this platform "
+                "does not support it"
+            )
+        if not hasattr(socket, "SO_REUSEPORT"):
+            raise RuntimeError(
+                "a serving fleet needs SO_REUSEPORT (every worker binds "
+                "the shared port); this platform does not support it"
             )
         self._predictor = predictor
         self.workers = workers
         self.host = host
         self.port = port
         self.model_info = dict(model_info or {})
-        self.server_options = dict(server_options or {})
-        self.mode = (
-            ("reuse-port" if reuse_port_available() else "shared-socket")
-            if mode == "auto" else mode
-        )
-        if self.mode == "reuse-port" and not reuse_port_available():
-            raise RuntimeError("SO_REUSEPORT is not available here")
+        self._options = {
+            "max_batch": max_batch,
+            "batch_window": batch_window,
+            "cache_size": cache_size,
+            "queue_limit": queue_limit,
+            "max_inflight": max_inflight,
+            "client_rate": client_rate,
+            "client_burst": client_burst,
+        }
         self._ctx = multiprocessing.get_context("fork")
         self._processes: List = []
         self._signalled: set = set()
         self._placeholder: Optional[socket.socket] = None
-        self._listener: Optional[socket.socket] = None
         self._snapshot_dir: Optional[str] = None
         self._report: Optional[FleetReport] = None
 
@@ -139,37 +133,32 @@ class ServingFleet:
         if self._processes:
             raise RuntimeError("the fleet is already running")
         self._snapshot_dir = tempfile.mkdtemp(prefix="repro-fleet-")
-        listener = None
-        if self.mode == "reuse-port":
-            # A bound, non-listening placeholder: resolves port 0 and
-            # pins the port (SO_REUSEPORT binds only bind alongside
-            # other SO_REUSEPORT binds by the same user) without ever
-            # receiving connections — the kernel balances only across
-            # *listening* sockets.
-            placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            placeholder.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-            )
-            placeholder.bind((self.host, self.port))
-            self.port = placeholder.getsockname()[1]
-            self._placeholder = placeholder
-        else:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, self.port))
-            listener.listen(1024)
-            self.port = listener.getsockname()[1]
-            self._listener = listener
+        # A bound, non-listening placeholder: resolves port 0 and pins
+        # the port (SO_REUSEPORT binds only bind alongside other
+        # SO_REUSEPORT binds by the same user) without ever receiving
+        # connections — the kernel balances only across *listening*
+        # sockets.
+        placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        placeholder.bind((self.host, self.port))
+        self.port = placeholder.getsockname()[1]
+        self._placeholder = placeholder
         ready_events = []
         for index in range(self.workers):
             ready = self._ctx.Event()
             process = self._ctx.Process(
                 target=_worker_main,
                 args=(
-                    self._predictor, self.host, self.port, self.mode,
-                    listener, ready,
+                    self._predictor,
+                    {
+                        **self._options,
+                        "host": self.host,
+                        "port": self.port,
+                        "model_info": {**self.model_info, "worker": index},
+                    },
+                    index,
+                    ready,
                     os.path.join(self._snapshot_dir, f"worker-{index}.json"),
-                    index, self.model_info, self.server_options,
                 ),
                 name=f"repro-serve-worker-{index}",
                 daemon=True,  # a dead parent must not leave orphans
@@ -185,16 +174,12 @@ class ServingFleet:
                     f"fleet worker {index} never became ready "
                     f"(exit code {self._processes[index].exitcode})"
                 )
-        # Workers hold the port now; the parent's sockets can go.
-        if self._placeholder is not None:
-            self._placeholder.close()
-            self._placeholder = None
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
+        # Workers hold the port now; the placeholder can go.
+        self._placeholder.close()
+        self._placeholder = None
         _log.info(
-            "fleet up: %d worker(s) on http://%s:%d (%s)",
-            self.workers, self.host, self.port, self.mode,
+            "fleet up: %d worker(s) on http://%s:%d",
+            self.workers, self.host, self.port,
         )
 
     def alive(self) -> int:
@@ -293,9 +278,6 @@ class ServingFleet:
         if self._placeholder is not None:
             self._placeholder.close()
             self._placeholder = None
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
         if self._snapshot_dir is not None:
             shutil.rmtree(self._snapshot_dir, ignore_errors=True)
             self._snapshot_dir = None
@@ -303,70 +285,32 @@ class ServingFleet:
 
 def _worker_main(
     predictor,
-    host: str,
-    port: int,
-    mode: str,
-    listener: Optional[socket.socket],
+    options: Dict,
+    index: int,
     ready,
     snapshot_path: str,
-    index: int,
-    model_info: Dict,
-    server_options: Dict,
 ) -> None:
     """One forked worker: serve until SIGTERM, then drain and snapshot."""
     import asyncio
 
     from repro.obs import MetricsRegistry, set_registry
 
-    from .admission import AdmissionController
-    from .server import PredictionServer
+    from .server import _serve_until_signalled
 
     # A fresh registry: the parent may have trained, published or
     # benched in-process before forking, and merging those inherited
     # series back would double-count them fleet-wide.
     set_registry(MetricsRegistry())
-    registry = get_registry()
-    registry.gauge("serve.worker.index").set(index)
-
-    options = dict(server_options)
-    admission = None
-    max_inflight = int(options.pop("max_inflight", 0) or 0)
-    client_rate = float(options.pop("client_rate", 0.0) or 0.0)
-    client_burst = int(options.pop("client_burst", 0) or 0)
-    if max_inflight > 0 or client_rate > 0:
-        admission = AdmissionController(
-            max_inflight=max_inflight,
-            client_rate=client_rate,
-            client_burst=client_burst,
-        )
-
-    async def _serve() -> None:
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        server = PredictionServer(
-            predictor,
-            host=host,
-            port=port,
-            model_info={**model_info, "worker": index},
-            admission=admission,
-            sock=listener if mode == "shared-socket" else None,
-            reuse_port=(mode == "reuse-port"),
-            **options,
-        )
-        await server.start()
-        ready.set()
-        try:
-            await stop.wait()
-        finally:
-            await server.drain()
-
+    get_registry().gauge("serve.worker.index").set(index)
     try:
-        asyncio.run(_serve())
+        asyncio.run(
+            _serve_until_signalled(
+                predictor,
+                lambda _server: ready.set(),
+                reuse_port=True,
+                **options,
+            )
+        )
     finally:
         # The snapshot is the worker's last will: written atomically on
         # every exit path so the parent merge sees either a complete
@@ -375,56 +319,3 @@ def _worker_main(
         with open(scratch, "w", encoding="utf-8") as handle:
             json.dump(get_registry().snapshot(), handle)
         os.replace(scratch, snapshot_path)
-
-
-def serve_fleet_forever(
-    predictor,
-    workers: int,
-    host: str = "127.0.0.1",
-    port: int = 8100,
-    model_info: Optional[Dict] = None,
-    server_options: Optional[Dict] = None,
-    mode: str = "auto",
-    ready_callback=None,
-) -> FleetReport:
-    """Run a serving fleet until SIGTERM/SIGINT, then drain it.
-
-    The fleet-flavoured :func:`~repro.serve.server.serve_forever`: the
-    parent supervises, relays signals, and merges worker telemetry
-    into its registry before returning — so the CLI's
-    ``--metrics-out`` flush sees fleet-wide totals on every exit path.
-    """
-    fleet = ServingFleet(
-        predictor,
-        workers,
-        host=host,
-        port=port,
-        model_info=model_info,
-        server_options=server_options,
-        mode=mode,
-    )
-    fleet.start()
-    if ready_callback is not None:
-        ready_callback(fleet)
-    stop = threading.Event()
-
-    def _relay(_signum, _frame) -> None:
-        stop.set()
-
-    previous = {}
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            previous[signum] = signal.signal(signum, _relay)
-        except (ValueError, OSError):
-            pass  # not the main thread; rely on fleet.stop() below
-    try:
-        while not stop.is_set():
-            stop.wait(0.5)
-            if fleet.alive() == 0:
-                _log.warning("every fleet worker exited; shutting down")
-                break
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        report = fleet.stop()
-    return report

@@ -38,9 +38,9 @@ import itertools
 import json
 import os
 import signal
-import socket
+import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.designspace.configuration import PARAMETER_ORDER, Configuration
 from repro.designspace.space import DesignSpace
@@ -58,6 +58,7 @@ from repro.obs.http import (
 
 from .admission import AdmissionController
 from .batching import PredictionBatcher, ServerSaturated
+from .fleet import FleetReport, ServingFleet
 
 __all__ = ["PredictionServer", "serve_forever"]
 
@@ -91,9 +92,6 @@ class PredictionServer:
             ``/predict`` and ``/search`` (never ``/healthz`` or
             ``/metrics``); refused requests get ``503`` with a
             ``Retry-After`` hint.
-        sock: A pre-bound listening socket to serve on instead of
-            binding ``host:port`` — how the shared-socket fleet
-            fallback hands one accept queue to every worker.
         reuse_port: Bind with ``SO_REUSEPORT`` so multiple server
             processes can share ``host:port`` and let the kernel
             balance connections across them.
@@ -111,7 +109,6 @@ class PredictionServer:
         cache_size: int = 4096,
         queue_limit: int = 1024,
         admission: Optional[AdmissionController] = None,
-        sock: Optional[socket.socket] = None,
         reuse_port: bool = False,
     ) -> None:
         self._predictor = predictor
@@ -128,7 +125,6 @@ class PredictionServer:
             queue_limit=queue_limit,
         )
         self.admission = admission
-        self._sock = sock
         self._reuse_port = bool(reuse_port)
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set = set()
@@ -157,19 +153,10 @@ class PredictionServer:
                 [self._space.baseline],
             )
             await self.batcher.start()
-            if self._sock is not None:
-                self._server = await asyncio.start_server(
-                    self._handle_connection, sock=self._sock
-                )
-            elif self._reuse_port:
-                self._server = await asyncio.start_server(
-                    self._handle_connection, self.host, self.port,
-                    reuse_port=True,
-                )
-            else:
-                self._server = await asyncio.start_server(
-                    self._handle_connection, self.host, self.port
-                )
+            self._server = await asyncio.start_server(
+                self._handle_connection, self.host, self.port,
+                reuse_port=self._reuse_port,
+            )
             self.port = self._server.sockets[0].getsockname()[1]
         self._started = time.time()
         get_registry().gauge("serve.up").set(1)
@@ -336,7 +323,7 @@ class PredictionServer:
             return _json_error(
                 503,
                 f"admission refused: {decision.reason}",
-                {"Retry-After": f"{max(decision.retry_after, 0.01):.2f}"},
+                {"Retry-After": decision.retry_after_header},
                 request_id=request_id,
             )
         try:
@@ -569,35 +556,20 @@ class PredictionServer:
 # ----------------------------------------------------------------------
 # The blocking entry point the CLI uses
 # ----------------------------------------------------------------------
-def serve_forever(
+async def _serve_until_signalled(
     predictor,
-    host: str = "127.0.0.1",
-    port: int = 8100,
-    model_info: Optional[Dict] = None,
-    max_batch: int = 64,
-    batch_window: float = 0.002,
-    cache_size: int = 4096,
-    queue_limit: int = 1024,
+    ready_callback: Callable[[PredictionServer], None],
     max_inflight: int = 0,
     client_rate: float = 0.0,
     client_burst: int = 0,
-    ready_callback=None,
+    **server_options,
 ) -> None:
-    """Run a prediction server until SIGTERM/SIGINT, then drain.
+    """One serving process: start, serve until SIGTERM/SIGINT, drain.
 
-    Args:
-        predictor: A fitted architecture-centric predictor.
-        max_inflight / client_rate / client_burst: Admission-control
-            limits (an :class:`AdmissionController` is installed when
-            any is set; see :mod:`repro.serve.admission`).
-        ready_callback: Called with the started
-            :class:`PredictionServer` once the socket is bound (tests
-            and the CLI use it to report the actual port).
-
-    The signal handlers trigger a graceful drain — queued requests are
-    answered before the loop exits — and the function then *returns*,
-    so the caller's ``finally`` blocks (telemetry export, manifest
-    writing) always run.
+    Runs in the caller's process for a single server and in every
+    forked fleet worker.  An :class:`AdmissionController` is installed
+    when any admission limit is set; ``server_options`` go to
+    :class:`PredictionServer`.
     """
     admission = None
     if max_inflight > 0 or client_rate > 0:
@@ -607,31 +579,100 @@ def serve_forever(
             client_burst=client_burst,
         )
     server = PredictionServer(
-        predictor,
-        host=host,
-        port=port,
-        model_info=model_info,
-        max_batch=max_batch,
-        batch_window=batch_window,
-        cache_size=cache_size,
-        queue_limit=queue_limit,
-        admission=admission,
+        predictor, admission=admission, **server_options
     )
-
-    async def _run() -> None:
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass  # non-Unix loops; Ctrl-C still raises
-        await server.start()
-        if ready_callback is not None:
-            ready_callback(server)
+    loop = asyncio.get_running_loop()
+    stop = asyncio.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
         try:
-            await stop.wait()
-        finally:
-            await server.drain()
+            loop.add_signal_handler(signum, stop.set)
+        except (NotImplementedError, RuntimeError):
+            pass  # non-Unix loops; Ctrl-C still raises
+    await server.start()
+    ready_callback(server)
+    try:
+        await stop.wait()
+    finally:
+        await server.drain()
 
-    asyncio.run(_run())
+
+def serve_forever(
+    predictor,
+    host: str = "127.0.0.1",
+    port: int = 8100,
+    model_info: Optional[Dict] = None,
+    workers: int = 1,
+    max_batch: int = 64,
+    batch_window: float = 0.002,
+    cache_size: int = 4096,
+    queue_limit: int = 1024,
+    max_inflight: int = 0,
+    client_rate: float = 0.0,
+    client_burst: int = 0,
+    ready_callback=None,
+) -> Optional[FleetReport]:
+    """Serve until SIGTERM/SIGINT, then drain.
+
+    Args:
+        predictor: A fitted architecture-centric predictor.
+        workers: Serving processes.  One runs the server in this
+            process and thread; more fork a :class:`ServingFleet`
+            behind one port, which this process supervises.
+        max_inflight / client_rate / client_burst: Admission-control
+            limits (an :class:`AdmissionController` is installed per
+            process when any is set; see :mod:`repro.serve.admission`).
+        ready_callback: Called once the port is bound, with the started
+            :class:`PredictionServer` (one worker) or
+            :class:`ServingFleet` (tests and the CLI use it to report
+            the actual port).
+
+    Returns:
+        The fleet's :class:`FleetReport` after a fleet run (its worker
+        snapshots are merged into this process's registry); ``None``
+        after a single-process run.
+
+    The signal handlers trigger a graceful drain — queued requests are
+    answered before the function returns — so the caller's ``finally``
+    blocks (telemetry export, manifest writing) always run.
+    """
+    options = {
+        "host": host,
+        "port": port,
+        "model_info": model_info,
+        "max_batch": max_batch,
+        "batch_window": batch_window,
+        "cache_size": cache_size,
+        "queue_limit": queue_limit,
+        "max_inflight": max_inflight,
+        "client_rate": client_rate,
+        "client_burst": client_burst,
+    }
+    ready_callback = ready_callback or (lambda _started: None)
+    if workers == 1:
+        asyncio.run(
+            _serve_until_signalled(predictor, ready_callback, **options)
+        )
+        return None
+    fleet = ServingFleet(predictor, workers, **options)
+    fleet.start()
+    ready_callback(fleet)
+    stop = threading.Event()
+    previous = {}
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            previous[signum] = signal.signal(
+                signum, lambda _signum, _frame: stop.set()
+            )
+        except (ValueError, OSError):
+            pass  # not the main thread; rely on fleet.stop() below
+    try:
+        while not stop.is_set():
+            stop.wait(0.5)
+            if fleet.alive() == 0:
+                _log.warning("every fleet worker exited; shutting down")
+                break
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+        report = fleet.stop()
+    return report

@@ -19,7 +19,7 @@ import pytest
 from repro.distrib import (
     CampaignCoordinator,
     CampaignWorker,
-    RepeatBackend,
+    DelayBackend,
     WorkerCapabilities,
 )
 from repro.distrib.protocol import (
@@ -601,7 +601,7 @@ class TestFaultTolerance:
             tiny_configs,
             n_workers=2,
             # Slow cells keep the campaign open for every refusal.
-            backend_factory=lambda: RepeatBackend(backend, delay=0.05),
+            backend_factory=lambda: DelayBackend(backend, 0.05),
             extra_clients=(hostile_client,),
         )
         assert result.complete
@@ -635,7 +635,7 @@ class TestFaultTolerance:
             tiny_suite,
             tiny_configs,
             n_workers=1,
-            backend_factory=lambda: RepeatBackend(backend, delay=0.02),
+            backend_factory=lambda: DelayBackend(backend, 0.02),
             extra_clients=(status_client,),
         )
         assert result.complete

@@ -22,7 +22,7 @@ from repro.distrib import (
     run_chaos_campaign,
 )
 from repro.distrib.chaos import journal_checksums as chaos_journal_checksums
-from repro.distrib.worker import RepeatBackend
+from repro.distrib.worker import DelayBackend
 from repro.runtime import CampaignRunner, RetryPolicy
 
 FAST_POLICY = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
@@ -172,7 +172,7 @@ class TestElasticMembership:
             backend, tiny_suite, tiny_configs, tmp_path
         )
         runner = make_runner(backend, tmp_path / "late")
-        slowish = lambda: RepeatBackend(backend, delay=0.05)
+        slowish = lambda: DelayBackend(backend, 0.05)
         coordinator, result, _ = run_fleet(
             runner,
             tiny_suite,
@@ -287,32 +287,40 @@ class TestWorkStealing:
         serial_runner, _ = serial_result(
             backend, tiny_suite, tiny_configs, tmp_path
         )
-        runner = make_runner(backend, tmp_path / "steal")
-        coordinator, result, _ = run_fleet(
-            runner,
-            tiny_suite,
-            tiny_configs,
-            worker_specs=[
-                {
-                    "worker_id": "tar",
-                    "backend_factory": lambda: RepeatBackend(
-                        backend, delay=0.8
-                    ),
+        stats = {}
+        # A steal window past the lease timeout disables stealing.
+        for label, fraction in (("on", 0.01), ("off", 100.0)):
+            runner = make_runner(backend, tmp_path / f"steal-{label}")
+            coordinator, result, _ = run_fleet(
+                runner,
+                tiny_suite,
+                tiny_configs,
+                worker_specs=[
+                    {
+                        "worker_id": "tar",
+                        "backend_factory": lambda: DelayBackend(
+                            backend, delay=0.8
+                        ),
+                    },
+                    {"worker_id": "quick",
+                     "backend_factory": lambda: backend},
+                ],
+                # Long leases so expiry cannot recover the cells first;
+                # stealing has to.
+                coordinator_kwargs={
+                    "lease_timeout": 30.0,
+                    "steal_after_fraction": fraction,
                 },
-                {"worker_id": "quick", "backend_factory": lambda: backend},
-            ],
-            # Long leases so expiry cannot recover the cells first;
-            # stealing has to.
-            coordinator_kwargs={
-                "lease_timeout": 30.0,
-                "steal_after_fraction": 0.01,
-            },
-        )
-        assert result.complete
-        assert not result.failed_cells
-        assert coordinator.stats.steals >= 1
-        assert coordinator.stats.speculative_wins >= 1
-        assert journal_checksums(runner) == journal_checksums(serial_runner)
+            )
+            assert result.complete
+            assert not result.failed_cells
+            assert (
+                journal_checksums(runner) == journal_checksums(serial_runner)
+            )
+            stats[label] = coordinator.stats
+        assert stats["on"].steals >= 1
+        assert stats["on"].speculative_wins >= 1
+        assert stats["off"].steals == 0
 
     def test_losing_duplicate_is_discarded_not_double_journalled(
         self, backend, tiny_suite, tiny_configs, tmp_path
@@ -328,7 +336,7 @@ class TestWorkStealing:
             worker_specs=[
                 {
                     "worker_id": "tar",
-                    "backend_factory": lambda: RepeatBackend(
+                    "backend_factory": lambda: DelayBackend(
                         backend, delay=0.4
                     ),
                 },
@@ -362,7 +370,7 @@ class TestStatusEndpoint:
             worker_specs=[
                 {
                     "worker_id": "w0",
-                    "backend_factory": lambda: RepeatBackend(
+                    "backend_factory": lambda: DelayBackend(
                         backend, delay=0.02
                     ),
                 },
@@ -403,7 +411,7 @@ class TestChaosHarness:
         return {
             "runner_factory": lambda: make_runner(backend, checkpoint),
             "n_workers": 3,
-            "backend_factory": lambda: RepeatBackend(backend, delay=0.03),
+            "backend_factory": lambda: DelayBackend(backend, 0.03),
             "coordinator_kwargs": {
                 "lease_timeout": 0.6,
                 "monitor_interval": 0.02,

@@ -1,9 +1,9 @@
 """The shared HTTP/1.1 request parser and the read-only endpoint.
 
-A malformed ``Content-Length`` or a line longer than the reader's
-limit must be answered with a 400 and a closed connection (never a
-silently dropped socket), header values must keep their case, and
-``Connection: close`` must be honoured in any case.
+A malformed request line or ``Content-Length``, or a line longer than
+the reader's limit, must be answered with a 400 and a closed connection
+(never a silently dropped socket), header values must keep their case,
+and ``Connection: close`` must be honoured in any case.
 """
 
 from __future__ import annotations
@@ -91,6 +91,15 @@ class TestEndpointRejections:
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"Connection: close" in head
         assert b"too long" in body
+
+    @pytest.mark.parametrize(
+        "raw", [b"GARBAGE\r\n\r\n", b"GET /healthz\r\n\r\n"]
+    )
+    def test_malformed_request_line_gets_400_and_close(self, raw):
+        head, _, body = _exchange(raw).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert b"request line" in body
 
     def test_connection_close_is_case_insensitive(self):
         answer = _exchange(

@@ -4,9 +4,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     AdmissionController,
+    AdmissionDecision,
     PredictionClient,
     ServerError,
     TokenBucket,
@@ -97,6 +100,17 @@ class TestAdmissionController:
         assert admission.inflight == 1
         assert admission.try_admit("c").admitted
 
+    def test_cap_refusal_spends_no_token(self):
+        clock = FakeClock()
+        admission = AdmissionController(
+            max_inflight=1, client_rate=1.0, client_burst=2, clock=clock
+        )
+        assert admission.try_admit("alice").admitted
+        assert admission.try_admit("alice").reason == "inflight-cap"
+        admission.release()
+        # The bucket still holds the second burst token.
+        assert admission.try_admit("alice").admitted
+
     def test_refused_quota_does_not_consume_inflight(self):
         clock = FakeClock()
         admission = AdmissionController(
@@ -122,6 +136,114 @@ class TestAdmissionController:
     def test_burst_defaults_to_rate_ceiling(self):
         admission = AdmissionController(client_rate=2.5)
         assert admission.client_burst == 3
+
+
+rates = st.floats(min_value=1e-3, max_value=1e3)
+bursts = st.integers(min_value=1, max_value=8)
+#: Non-decreasing clock readings, as gaps from a start time.
+gaps = st.lists(
+    st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=60
+)
+starts = st.floats(min_value=0.0, max_value=1e6)
+
+
+def _times(start, steps):
+    now, times = start, []
+    for step in steps:
+        now += step
+        times.append(now)
+    return times
+
+
+def _drained(rate, burst, start):
+    """A bucket emptied at ``start``, and the wait its refusal hinted."""
+    bucket = TokenBucket(rate, burst)
+    while (wait := bucket.try_take(start)) == 0.0:
+        pass
+    return bucket, wait
+
+
+class TestAdmissionProperties:
+    @given(rate=rates, burst=bursts, start=starts, steps=gaps)
+    @settings(max_examples=200, deadline=None)
+    def test_tokens_stay_within_zero_and_burst(self, rate, burst, start,
+                                               steps):
+        bucket = TokenBucket(rate, burst)
+        for now in _times(start, steps):
+            bucket.try_take(now)
+            assert 0.0 <= bucket._tokens <= burst
+
+    @given(rate=rates, burst=bursts, start=starts, steps=gaps)
+    @settings(max_examples=200, deadline=None)
+    def test_admits_in_any_window_respect_the_rate(self, rate, burst,
+                                                   start, steps):
+        bucket = TokenBucket(rate, burst)
+        admitted = [
+            now for now in _times(start, steps) if bucket.try_take(now) == 0
+        ]
+        for first in range(len(admitted)):
+            for last in range(first, len(admitted)):
+                span = admitted[last] - admitted[first]
+                # 1e-9 covers float rounding in the lazy refill.
+                assert last - first + 1 <= burst + rate * span + 1e-9
+
+    @given(
+        cap=st.integers(min_value=1, max_value=4),
+        ops=st.lists(st.sampled_from(["admit", "release"]), max_size=80),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_inflight_stays_within_zero_and_the_cap(self, cap, ops):
+        admission = AdmissionController(max_inflight=cap)
+        for op in ops:
+            if op == "admit":
+                admission.try_admit("client")
+            else:
+                admission.release()
+            assert 0 <= admission.inflight <= cap
+
+    @given(rate=rates, burst=bursts, start=starts, steps=gaps,
+           client=st.sampled_from(["a", "b", "c"]))
+    @settings(max_examples=200, deadline=None)
+    def test_cap_refusal_leaves_every_bucket_unchanged(
+        self, rate, burst, start, steps, client
+    ):
+        clock = FakeClock()
+        admission = AdmissionController(
+            max_inflight=2, client_rate=rate, client_burst=burst,
+            clock=clock,
+        )
+        for index, now in enumerate(_times(start, steps)):
+            clock.now = now
+            admission.try_admit("abc"[index % 3])
+
+        def state():
+            return [
+                (name, bucket._tokens, bucket._stamp)
+                for name, bucket in admission._buckets.items()
+            ]
+
+        before = state()
+        decision = admission.try_admit(client)
+        if decision.reason == "inflight-cap":
+            assert state() == before
+
+    @given(rate=rates, burst=bursts, start=starts)
+    @settings(max_examples=500, deadline=None)
+    def test_retry_at_the_hint_is_admitted(self, rate, burst, start):
+        bucket, wait = _drained(rate, burst, start)
+        assert wait > 0
+        assert bucket.try_take(start + wait) == 0.0
+
+    @given(rate=rates, burst=bursts, start=starts)
+    @settings(max_examples=500, deadline=None)
+    def test_retry_at_the_header_value_is_admitted(self, rate, burst,
+                                                   start):
+        bucket, wait = _drained(rate, burst, start)
+        header = AdmissionDecision(
+            admitted=False, reason="quota", retry_after=wait
+        ).retry_after_header
+        assert float(header) >= wait
+        assert bucket.try_take(start + float(header)) == 0.0
 
 
 class TestHTTPSurface:

@@ -97,7 +97,7 @@ class TestFleetDrain:
         with scoped_registry():
             fleet = ServingFleet(
                 _SlowPredictor(fitted_predictor, 0.5), 2, port=0,
-                server_options={"cache_size": 0},
+                cache_size=0,
             )
             fleet.start(timeout=90.0)
             try:

@@ -97,17 +97,6 @@ class TestFleet:
         # predictor — the exactness contract survives forking.
         assert served == {direct}
 
-    def test_shared_socket_mode(self, fleet):
-        with scoped_registry():
-            started = fleet(workers=2, mode="shared-socket")
-            assert started.mode == "shared-socket"
-            with PredictionClient(
-                "127.0.0.1", started.port, timeout=10.0
-            ) as client:
-                assert client.healthz()["status"] == "ok"
-            report = started.stop(timeout=30.0)
-        assert report.exit_codes == [0, 0]
-
     def test_idle_fleet_drains_clean(self, fleet):
         with scoped_registry() as registry:
             started = fleet(workers=2)
@@ -132,13 +121,9 @@ class TestFleet:
     def test_worker_validation(self, fitted_predictor):
         with pytest.raises(ValueError, match="at least one worker"):
             ServingFleet(fitted_predictor, 0)
-        with pytest.raises(ValueError, match="unknown fleet mode"):
-            ServingFleet(fitted_predictor, 1, mode="round-robin")
 
-    @pytest.mark.skipif(
-        not hasattr(socket, "SO_REUSEPORT"),
-        reason="SO_REUSEPORT unavailable on this platform",
-    )
-    def test_reuse_port_mode_is_default_here(self, fitted_predictor):
-        built = ServingFleet(fitted_predictor, 1)
-        assert built.mode == "reuse-port"
+    def test_missing_reuse_port_is_refused(self, fitted_predictor,
+                                           monkeypatch):
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+        with pytest.raises(RuntimeError, match="SO_REUSEPORT"):
+            ServingFleet(fitted_predictor, 2)

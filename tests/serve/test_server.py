@@ -298,6 +298,24 @@ class TestMalformedRequests:
         with server.client() as client:
             assert client.healthz()["status"] == "ok"
 
+    @pytest.mark.parametrize(
+        "raw", [b"GARBAGE\r\n\r\n", b"GET /healthz\r\n\r\n"]
+    )
+    def test_malformed_request_line_gets_400_and_close(self, harness, raw):
+        from repro.obs import scoped_registry
+
+        with scoped_registry():
+            server = harness()
+            answer = _raw_exchange(server.port, raw)
+            head, _, body = answer.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert b"Connection: close" in head
+            assert "request line" in json.loads(body)["error"]
+            with server.client() as client:
+                assert 'serve_requests{status="400"} 1' in (
+                    client.metrics_text()
+                )
+
     def test_connection_close_honoured_in_any_case(self, harness):
         server = harness()
         answer = _raw_exchange(

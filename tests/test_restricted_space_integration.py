@@ -11,7 +11,13 @@ import pytest
 from repro.core import ArchitectureCentricPredictor, TrainingPool
 from repro.designspace import embedded_space, sample_configurations
 from repro.exploration import DesignSpaceDataset
-from repro.search import hill_climb
+from repro.search import (
+    AGENT_NAMES,
+    DesignSpaceEnv,
+    SimulationOracle,
+    make_agent,
+    run_search,
+)
 from repro.sim import IntervalSimulator, Metric
 from repro.workloads import mibench_suite
 
@@ -66,17 +72,44 @@ class TestRestrictedStack:
         )
         assert scores["correlation"] > 0.6
 
-    def test_search_respects_the_windows(self, embedded, embedded_dataset):
-        class Oracle:
-            def predict(self, configs):
-                return embedded_dataset.simulator.simulate_batch(
-                    embedded_dataset.suite["qsort"], list(configs)
-                ).cycles
+    @pytest.mark.parametrize("agent_name", AGENT_NAMES)
+    def test_search_respects_the_windows(self, embedded, embedded_dataset,
+                                         agent_name):
+        class Recording:
+            """Pass-through agent that keeps every proposal."""
 
-        result = hill_climb(Oracle(), embedded, max_steps=15)
-        best = result.best.configuration
-        assert embedded.is_legal(best)
-        assert best.width <= 4
+            def __init__(self, agent):
+                self.agent = agent
+                self.name = agent.name
+                self.proposed = []
+
+            def propose(self, count):
+                proposals = self.agent.propose(count)
+                self.proposed.extend(proposals)
+                return proposals
+
+            def observe(self, observations):
+                self.agent.observe(observations)
+
+        env = DesignSpaceEnv(
+            embedded,
+            SimulationOracle(
+                embedded_dataset.simulator, embedded_dataset.suite["qsort"]
+            ),
+            objectives=(Metric.CYCLES, Metric.ENERGY),
+            budget=40,
+        )
+        agent = Recording(
+            make_agent(agent_name, embedded, objectives=2, seed=5)
+        )
+        outcome = run_search(env, agent, batch_size=8, seed=5)
+        assert outcome.spent == 40
+        assert agent.proposed
+        archived = [point.configuration for point in outcome.frontier]
+        for config in agent.proposed + archived:
+            assert embedded.is_legal(config)
+            assert config.width <= 4
+            assert config.l2cache_kb <= 1024
 
     def test_encoding_bounds_match_the_restriction(self, embedded):
         low, high = embedded.feature_bounds()

@@ -12,6 +12,8 @@ the exact legal-point count by factored enumeration, and converts between
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -94,6 +96,13 @@ class DesignSpace:
                 f"got {names}"
             )
         self._by_name: Dict[str, Parameter] = {p.name: p for p in self._parameters}
+        # encode_many's lookup tables: each parameter's grid value ->
+        # feature, the same quotient Parameter.encode computes.
+        self._values_of = operator.attrgetter(*names)
+        self._features_of: Tuple[Dict[int, float], ...] = tuple(
+            {value: value / p.encoding_divisor for value in p.values}
+            for p in self._parameters
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -228,7 +237,22 @@ class DesignSpace:
             configs = list(configs)
         if len(configs) == 0:
             return np.empty((0, self.dimensions), dtype=float)
-        return np.stack([self.encode(c) for c in configs])
+        lookup, tables = dict.__getitem__, self._features_of
+        try:
+            features = np.fromiter(
+                itertools.chain.from_iterable(
+                    map(lookup, tables, self._values_of(config))
+                    for config in configs
+                ),
+                dtype=float,
+                count=len(configs) * self.dimensions,
+            )
+        except (KeyError, TypeError, AttributeError):
+            # An off-grid, unhashable or missing value: encode row by
+            # row, so the first offending configuration raises exactly
+            # what encode raises for it.
+            return np.stack([self.encode(c) for c in configs])
+        return features.reshape(len(configs), self.dimensions)
 
     def decode(self, features: Sequence[float]) -> Configuration:
         """Invert :meth:`encode`, snapping each feature to its grid."""
@@ -275,8 +299,6 @@ class DesignSpace:
                 f"space has {self.legal_size:,} legal points, above the "
                 f"enumeration limit of {limit:,}; restrict it first"
             )
-        import itertools
-
         names = [p.name for p in self._parameters]
         grids = [p.values for p in self._parameters]
         for combo in itertools.product(*grids):

@@ -39,9 +39,10 @@ different batches can differ in the last ulp.  A prediction cache —
 or any service promising "the answer for config c is the answer for
 config c" — needs values that are a pure function of the row.
 :meth:`predict_features_invariant` provides exactly that: a slower
-forward pass built only from elementwise ufuncs and fixed-length
-last-axis reductions, whose per-row result is independent of what
-else shares the batch (asserted exactly by the serving tests).
+forward pass built only from elementwise ufuncs — an in-order sum over
+the D inputs and a fixed-length last-axis reduction over the H hidden
+units — whose per-row result is independent of what else shares the
+batch (asserted exactly by the serving tests).
 """
 
 from __future__ import annotations
@@ -236,16 +237,22 @@ class StackedEnsemble:
     def predict_features_invariant(self, features: np.ndarray) -> np.ndarray:
         """(N, m) predictions whose rows do not depend on the batch.
 
-        The batch-composition-invariant forward pass: each member is
-        evaluated with elementwise operations and last-axis
-        ``np.add.reduce`` contractions, whose summation order depends
-        only on the contracted length (D, then H) — never on how many
-        other rows share the call.  Evaluating a configuration alone,
-        inside any batch, or twice in the same batch therefore yields
-        the same bits, which is the property the serving layer's
-        prediction cache and request coalescing are built on.
+        The batch-composition-invariant forward pass, all N members in
+        one stacked evaluation built from elementwise ufuncs only:
 
-        Roughly 3-4x slower than :meth:`predict_features` (the
+        * the hidden-layer contraction over D is an explicit in-order
+          sum, ``((0 + x_0 w_0) + x_1 w_1) + ... + x_{D-1} w_{D-1}``,
+          over (N, m, H) arrays;
+        * the output contraction over H is a last-axis
+          ``np.add.reduce``, whose pairwise summation order is fixed by
+          H alone.
+
+        Neither order depends on how many other rows share the call, so
+        evaluating a configuration alone, inside any batch, or twice in
+        the same batch yields the same bits — the property the serving
+        layer's prediction cache and request coalescing are built on.
+
+        Slower per configuration than :meth:`predict_features` (the
         contractions do not reach BLAS); use it where determinism
         across batch shapes matters more than peak throughput.
         """
@@ -255,23 +262,26 @@ class StackedEnsemble:
                 f"expected {self.input_dim} features, got {features.shape[1]}"
             )
         members = len(self.programs)
-        out = np.empty((members, features.shape[0]), dtype=float)
-        for n in range(members):
-            x = (features - self._x_mean[n]) / self._x_scale[n]
-            # (m, H, D) product contracted over the trailing D axis:
-            # numpy's pairwise reduction order is fixed by D alone.
-            hidden = np.tanh(
-                np.add.reduce(
-                    x[:, None, :] * self._hidden_weights[n].T[None, :, :],
-                    axis=2,
-                )
-                + self._hidden_bias[n]
+        # (N, m, D): each member standardises the shared batch itself.
+        x = (features[None, :, :] - self._x_mean[:, None, :]) / (
+            self._x_scale[:, None, :]
+        )
+        # Temporaries stay (N, m, H); the (N, m, D, H) product would be
+        # D times larger and its reduction slower than this loop.
+        shape = (members, features.shape[0], self.hidden_neurons)
+        pre = np.zeros(shape)
+        term = np.empty(shape)
+        for d in range(self.input_dim):
+            np.multiply(
+                x[:, :, d, None], self._hidden_weights[:, None, d, :],
+                out=term,
             )
-            scaled = (
-                np.add.reduce(hidden * self._output_weights[n], axis=1)
-                + self._output_bias[n]
-            )
-            out[n] = scaled * self._y_scale[n] + self._y_mean[n]
+            pre += term
+        pre += self._hidden_bias[:, None, :]
+        weighted = np.tanh(pre, out=pre)
+        weighted *= self._output_weights[:, None, :]
+        scaled = np.add.reduce(weighted, axis=2) + self._output_bias[:, None]
+        out = scaled * self._y_scale[:, None] + self._y_mean[:, None]
         if self._log_target.any():
             rows = np.where(self._log_target)[0]
             out[rows] = np.power(

@@ -2,14 +2,17 @@
 
 The inference server's whole reason to exist is that one vectorised
 forward pass over m configurations costs barely more than one over a
-single configuration — the per-call overhead (encoding setup, N member
-dispatches, the combine) dominates tiny batches.  The
-:class:`PredictionBatcher` therefore never predicts one request at a
-time: concurrent requests park on a bounded queue, a collector drains
-up to ``max_batch`` of them (waiting at most ``batch_window`` seconds
-for stragglers), and the whole batch runs through
+single configuration — the per-call overhead (encoding setup, the
+stacked member pass, the combine) dominates tiny batches.  The
+:class:`PredictionBatcher` therefore works per request, never per
+configuration: :meth:`PredictionBatcher.predict` answers a request's
+cache hits inline and parks its misses on a bounded queue as *one*
+entry with *one* future; a collector drains parked requests until the
+batch holds ``max_batch`` configurations (waiting at most
+``batch_window`` seconds for stragglers while the queue is empty), and
+the batch's unique misses run through
 :meth:`~repro.core.predictor.ArchitectureCentricPredictor.predict_invariant`
-in one call.
+in forward calls of at most ``max_batch`` configurations.
 
 That method's batch-composition invariance is what makes the two
 optimisations here *exact* rather than approximately right:
@@ -21,11 +24,12 @@ optimisations here *exact* rather than approximately right:
   (:meth:`~repro.designspace.configuration.Configuration.values`) can
   serve repeats without a forward pass and still return the same bits.
 
-Backpressure is explicit: the queue is bounded, and when it is full
-:meth:`PredictionBatcher.predict_one` raises :class:`ServerSaturated`
-immediately instead of buffering unboundedly — the HTTP layer turns
-that into a 503 with ``Retry-After``, which is the honest answer under
-overload.
+Backpressure is explicit: the queue is bounded by parked requests, and
+when it is full :meth:`PredictionBatcher.predict` raises
+:class:`ServerSaturated` immediately instead of buffering unboundedly —
+the HTTP layer turns that into a 503 with ``Retry-After``, which is the
+honest answer under overload.  A request is parked whole or not at
+all, so a refused request leaves no work behind.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ class LRUCache:
 
 
 class PredictionBatcher:
-    """Coalesce concurrent predictions into vectorised invariant batches.
+    """Coalesce concurrent requests into vectorised invariant batches.
 
     Args:
         predictor: A fitted architecture-centric predictor whose pool
@@ -99,7 +103,7 @@ class PredictionBatcher:
             after the first before dispatching a partial batch.
         cache_size: LRU prediction-cache entries (0 disables).
         queue_limit: Bound on parked requests; beyond it
-            :meth:`predict_one` raises :class:`ServerSaturated`.
+            :meth:`predict` raises :class:`ServerSaturated`.
     """
 
     def __init__(
@@ -141,8 +145,8 @@ class PredictionBatcher:
     async def stop(self) -> None:
         """Drain parked requests, then stop the collector.
 
-        Requests already queued are answered; new :meth:`predict_one`
-        calls fail with :class:`ServerSaturated` the moment draining
+        Requests already queued are answered; new requests with a cache
+        miss fail with :class:`ServerSaturated` the moment draining
         begins.
         """
         if self._collector is None:
@@ -159,95 +163,115 @@ class PredictionBatcher:
     # ------------------------------------------------------------------
     # The request side
     # ------------------------------------------------------------------
-    async def predict_one(self, config: Configuration) -> float:
-        """One configuration's prediction, batched with its neighbours.
+    async def predict(self, configs: Sequence[Configuration]) -> List[float]:
+        """Every configuration's prediction, as floats in request order.
+
+        Cache hits are answered inline; the misses park on the queue as
+        one entry and are answered together once their batch has run.
 
         Raises:
-            ServerSaturated: when the queue is full or draining.
+            ServerSaturated: when a miss meets a full or draining queue
+                (nothing of the request is queued).
         """
         registry = get_registry()
-        key = config.values()
-        hit = self.cache.get(key)
-        if hit is not _MISSING:
-            registry.counter("serve.cache.hits").inc()
-            return hit
+        keys = [config.values() for config in configs]
+        values = [self.cache.get(key) for key in keys]
+        missing = [i for i, value in enumerate(values) if value is _MISSING]
+        hits = len(values) - len(missing)
+        if hits:
+            registry.counter("serve.cache.hits").inc(hits)
+        if not missing:
+            return values
         if self._queue is None or self._closed:
             registry.counter("serve.rejected", reason="closed").inc()
             raise ServerSaturated("the prediction batcher is not accepting")
         future = asyncio.get_running_loop().create_future()
+        entry = (
+            [configs[i] for i in missing], [keys[i] for i in missing], future
+        )
         try:
-            self._queue.put_nowait((config, key, future))
+            self._queue.put_nowait(entry)
         except asyncio.QueueFull:
             registry.counter("serve.rejected", reason="queue-full").inc()
             raise ServerSaturated(
                 f"prediction queue is full ({self.queue_limit} waiting)"
             ) from None
         registry.gauge("serve.queue.depth").set(self._queue.qsize())
-        return await future
+        for index, value in zip(missing, await future):
+            values[index] = value
+        return values
+
+    async def predict_one(self, config: Configuration) -> float:
+        """One configuration's prediction: a one-configuration request."""
+        return (await self.predict([config]))[0]
 
     # ------------------------------------------------------------------
     # The collector side
     # ------------------------------------------------------------------
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
+        queue = self._queue
         while True:
-            first = await self._queue.get()
-            batch = [first]
+            batch = [await queue.get()]
+            size = len(batch[0][0])
             deadline = loop.time() + self.batch_window
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    # Past the window: take whatever is already parked,
-                    # but wait for no one.
-                    try:
-                        batch.append(self._queue.get_nowait())
-                        continue
-                    except asyncio.QueueEmpty:
+            while size < self.max_batch:
+                # Parked requests are taken without waiting; only an
+                # empty queue is worth waiting on, and only until the
+                # window closes.
+                if queue.empty():
+                    remaining = deadline - loop.time()
+                    if remaining <= 0:
                         break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
+                    try:
+                        entry = await asyncio.wait_for(queue.get(), remaining)
+                    except asyncio.TimeoutError:
+                        break
+                else:
+                    entry = queue.get_nowait()
+                batch.append(entry)
+                size += len(entry[0])
             try:
-                await self._execute(batch)
+                await self._execute(batch, size)
             finally:
                 for _ in batch:
-                    self._queue.task_done()
-                get_registry().gauge("serve.queue.depth").set(
-                    self._queue.qsize()
-                )
+                    queue.task_done()
+                get_registry().gauge("serve.queue.depth").set(queue.qsize())
 
     async def _execute(
-        self, batch: List[Tuple[Configuration, Tuple[int, ...], "asyncio.Future"]]
+        self,
+        batch: List[Tuple[List[Configuration], List[Tuple[int, ...]],
+                          "asyncio.Future"]],
+        size: int,
     ) -> None:
-        """Resolve one collected batch (dedup, cache, one forward pass)."""
+        """Resolve one collected batch (dedup, cache, forward passes)."""
         registry = get_registry()
         registry.histogram(
             "serve.batch.size", buckets=_BATCH_BUCKETS
-        ).observe(len(batch))
-        # Dedup within the batch and against the cache: a configuration
+        ).observe(size)
+        # Dedup across the batch and against the cache: a configuration
         # requested five times costs one forward-pass row (invariance
-        # guarantees all five see identical bits).
+        # guarantees all five see identical bits).  Every configuration
+        # counts once: a miss when it costs a row, else a hit.
         unique: Dict[Tuple[int, ...], Configuration] = {}
         resolved: Dict[Tuple[int, ...], float] = {}
-        for config, key, _ in batch:
-            if key in unique or key in resolved:
-                continue
-            cached = self.cache.get(key)
-            if cached is not _MISSING:
-                registry.counter("serve.cache.hits").inc()
-                resolved[key] = cached
-            else:
-                registry.counter("serve.cache.misses").inc()
-                unique[key] = config
+        for configs, keys, _ in batch:
+            for config, key in zip(configs, keys):
+                if key in unique or key in resolved:
+                    continue
+                cached = self.cache.get(key)
+                if cached is _MISSING:
+                    unique[key] = config
+                else:
+                    resolved[key] = cached
+        if size > len(unique):
+            registry.counter("serve.cache.hits").inc(size - len(unique))
         if unique:
-            miss_configs = list(unique.values())
+            registry.counter("serve.cache.misses").inc(len(unique))
             start = time.perf_counter()
             try:
                 values = await asyncio.get_running_loop().run_in_executor(
-                    None, self._forward, miss_configs
+                    None, self._forward, list(unique.values())
                 )
             except BaseException as error:  # noqa: BLE001 - forwarded
                 registry.counter("serve.errors").inc()
@@ -265,14 +289,19 @@ class PredictionBatcher:
                 value = float(value)
                 resolved[key] = value
                 self.cache.put(key, value)
-        for _, key, future in batch:
+        for _, keys, future in batch:
             if not future.done():
-                future.set_result(resolved[key])
+                future.set_result([resolved[key] for key in keys])
 
-    def _forward(self, configs: Sequence[Configuration]):
-        """The worker-thread forward pass, wrapped in a span."""
-        with span("serve.batch.predict", size=len(configs)):
-            return self._predictor.predict_invariant(configs)
+    def _forward(self, configs: List[Configuration]) -> List[float]:
+        """The worker-thread forward pass: calls of at most
+        ``max_batch`` configurations, each wrapped in a span."""
+        values: List[float] = []
+        for start in range(0, len(configs), self.max_batch):
+            chunk = configs[start:start + self.max_batch]
+            with span("serve.batch.predict", size=len(chunk)):
+                values.extend(self._predictor.predict_invariant(chunk))
+        return values
 
 
 #: Batch sizes are small integers; the seconds-flavoured default

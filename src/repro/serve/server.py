@@ -360,9 +360,7 @@ class PredictionServer:
         except BadRequest as error:
             return _json_error(400, str(error), request_id=request_id)
         try:
-            values = await asyncio.gather(
-                *(self.batcher.predict_one(config) for config in configs)
-            )
+            values = await self.batcher.predict(configs)
         except ServerSaturated as error:
             _log.warning("request %s shed: %s", request_id, error)
             return _json_error(
@@ -377,7 +375,7 @@ class PredictionServer:
             )
         payload = {
             "metric": self._predictor.metric.value,
-            "predictions": [float(v) for v in values],
+            "predictions": values,
             "model": self.model_info,
         }
         return 200, _dump(payload), "application/json", {}

@@ -99,6 +99,45 @@ class TestEncoding:
     def test_encode_many_empty(self, space):
         assert space.encode_many([]).shape == (0, 13)
 
+    def test_encode_many_equals_row_by_row_encode(self, space, configs):
+        rows = list(configs)
+        expected = np.stack([space.encode(c) for c in rows])
+        assert np.array_equal(space.encode_many(rows), expected)
+        assert np.array_equal(space.encode_many(iter(rows)), expected)
+        # Values of another integer type hash and compare like ints.
+        numpy_ints = [
+            Configuration.from_values(tuple(np.int64(v) for v in c.values()))
+            for c in rows[:20]
+        ]
+        assert np.array_equal(space.encode_many(numpy_ints), expected[:20])
+
+    def test_encode_many_off_grid_mid_batch_raises_encodes_error(
+        self, space, configs
+    ):
+        rows = list(configs[:10])
+        rows[4] = rows[4].replace(rob_size=33)
+        rows[7] = rows[7].replace(width=5)
+        with pytest.raises(ValueError) as expected:
+            space.encode(rows[4])
+        with pytest.raises(ValueError) as produced:
+            space.encode_many(rows)
+        assert str(produced.value) == str(expected.value)
+        assert "rob_size" in str(produced.value)
+
+    def test_encode_many_uses_its_own_grids(self, space):
+        from repro.designspace import sample_configurations
+        from repro.designspace.restrict import embedded_space
+
+        embedded = embedded_space(space)
+        rows = sample_configurations(embedded, 50, seed=5)
+        assert np.array_equal(
+            embedded.encode_many(rows),
+            np.stack([embedded.encode(c) for c in rows]),
+        )
+        wide = space.baseline.replace(width=8)
+        with pytest.raises(ValueError, match="width"):
+            embedded.encode_many([rows[0], wide])
+
     def test_decode_wrong_length_rejected(self, space):
         with pytest.raises(ValueError, match="13"):
             space.decode([1.0, 2.0])

@@ -10,8 +10,37 @@ import pytest
 
 from repro.core import ArchitectureCentricPredictor
 from repro.core.program_model import ProgramSpecificPredictor
+from repro.designspace import sample_configurations
 from repro.ml import StackedEnsemble
 from repro.sim import Metric
+
+
+def per_member_invariant(ensemble, features):
+    """Reference for ``predict_features_invariant``: one member at a time.
+
+    Each member's (m, H, D) product is laid out in (m, D, H) memory
+    order, so ``np.add.reduce`` over D accumulates in index order from
+    +0.0; the output contraction is a contiguous last-axis reduction.
+    """
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    out = np.empty((len(ensemble), features.shape[0]))
+    for n in range(len(ensemble)):
+        x = (features - ensemble._x_mean[n]) / ensemble._x_scale[n]
+        hidden = np.tanh(
+            np.add.reduce(
+                x[:, None, :] * ensemble._hidden_weights[n].T[None, :, :],
+                axis=2,
+            )
+            + ensemble._hidden_bias[n]
+        )
+        scaled = (
+            np.add.reduce(hidden * ensemble._output_weights[n], axis=1)
+            + ensemble._output_bias[n]
+        )
+        out[n] = scaled * ensemble._y_scale[n] + ensemble._y_mean[n]
+    rows = np.where(ensemble._log_target)[0]
+    out[rows] = np.power(10.0, np.clip(out[rows], -30.0, 30.0))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -133,36 +162,61 @@ class TestConstruction:
         )
 
 
+@pytest.fixture(scope="module")
+def mixed_members(small_dataset):
+    """Two stacked members, the second predicting the raw metric."""
+    space = small_dataset.simulator.space
+    train_idx, _ = small_dataset.split_indices(64, seed=21)
+    train_configs = small_dataset.subset_configs(train_idx)
+    members = []
+    for program, log_target in (("gzip", True), ("applu", False)):
+        member = ProgramSpecificPredictor(
+            space=space,
+            metric=Metric.CYCLES,
+            program=program,
+            seed=21,
+            log_target=log_target,
+        )
+        member.fit(
+            train_configs,
+            small_dataset.subset_values(program, Metric.CYCLES, train_idx),
+        )
+        members.append(member)
+    return members
+
+
 class TestMixedLogTarget:
-    def test_raw_target_member_not_exponentiated(self, small_dataset):
-        space = small_dataset.simulator.space
-        train_idx, _ = small_dataset.split_indices(64, seed=21)
-        train_configs = small_dataset.subset_configs(train_idx)
-        members = []
-        for program, log_target in (("gzip", True), ("applu", False)):
-            member = ProgramSpecificPredictor(
-                space=space,
-                metric=Metric.CYCLES,
-                program=program,
-                seed=21,
-                log_target=log_target,
-            )
-            member.fit(
-                train_configs,
-                small_dataset.subset_values(
-                    program, Metric.CYCLES, train_idx
-                ),
-            )
-            members.append(member)
-        ensemble = StackedEnsemble.from_models(members)
+    def test_raw_target_member_not_exponentiated(
+        self, mixed_members, small_dataset
+    ):
+        ensemble = StackedEnsemble.from_models(mixed_members)
         batch = small_dataset.configs[:20]
         stacked = ensemble.predict(batch)
-        for row, member in zip(stacked, members):
+        for row, member in zip(stacked, mixed_members):
             assert np.array_equal(row, member.predict(batch))
+
+    def test_invariant_matches_per_member_reference(
+        self, mixed_members, small_dataset
+    ):
+        ensemble = StackedEnsemble.from_models(mixed_members)
+        features = ensemble.space.encode_many(small_dataset.configs[:20])
+        assert np.array_equal(
+            ensemble.predict_features_invariant(features),
+            per_member_invariant(ensemble, features),
+        )
 
 
 class TestInvariantForward:
     """The batch-composition-invariant path the serving layer uses."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 64, 1000])
+    def test_stacked_pass_matches_per_member_reference(self, ensemble, m):
+        configs = sample_configurations(ensemble.space, m, seed=m)
+        features = ensemble.space.encode_many(configs)
+        assert np.array_equal(
+            ensemble.predict_features_invariant(features),
+            per_member_invariant(ensemble, features),
+        )
 
     def test_invariant_rows_do_not_depend_on_batch_mates(
         self, ensemble, small_dataset

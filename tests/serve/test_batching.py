@@ -269,3 +269,123 @@ class TestBatcher:
             PredictionBatcher(fitted_predictor, batch_window=-1)
         with pytest.raises(ValueError):
             PredictionBatcher(fitted_predictor, queue_limit=0)
+
+
+class RowCountingPredictor:
+    """Delegates to a fitted predictor, recording each call's size."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.metric = inner.metric
+        self.calls = []
+
+    def predict_invariant(self, configs):
+        self.calls.append(len(configs))
+        return self._inner.predict_invariant(configs)
+
+
+class TestRequestAccounting:
+    """A request is one queue entry; every configuration counts once."""
+
+    def test_mixed_request_order_counters_and_rows(
+        self, fitted_predictor, holdout_configs
+    ):
+        cached, new_a, new_b = holdout_configs[:3]
+        request = [new_a, cached, new_a, new_b, cached, new_b, new_a]
+        direct = fitted_predictor.predict_invariant(request)
+        counting = RowCountingPredictor(fitted_predictor)
+
+        async def scenario(registry):
+            batcher = PredictionBatcher(counting)
+            await batcher.start()
+            try:
+                await batcher.predict([cached])
+                counting.calls.clear()
+                hits = registry.value("serve.cache.hits")
+                misses = registry.value("serve.cache.misses")
+                values = await batcher.predict(request)
+            finally:
+                await batcher.stop()
+            assert values == list(direct)
+            assert all(type(value) is float for value in values)
+            # Two unique misses cost two forward rows; the two cached
+            # copies and the three repeats are hits.
+            assert counting.calls == [2]
+            assert registry.value("serve.cache.misses") - misses == 2
+            assert registry.value("serve.cache.hits") - hits == 5
+
+        with scoped_registry() as registry:
+            run(scenario(registry))
+
+    def test_large_request_splits_into_max_batch_forward_calls(
+        self, fitted_predictor, holdout_configs
+    ):
+        request = holdout_configs[:50]
+        direct = fitted_predictor.predict_invariant(request)
+        counting = RowCountingPredictor(fitted_predictor)
+
+        async def scenario():
+            batcher = PredictionBatcher(counting, max_batch=8)
+            await batcher.start()
+            try:
+                return await batcher.predict(request)
+            finally:
+                await batcher.stop()
+
+        assert np.array_equal(np.array(run(scenario())), direct)
+        assert max(counting.calls) <= 8
+        assert sum(counting.calls) == len(request)
+
+    def test_one_parked_request_of_any_size_fills_the_queue(
+        self, holdout_configs
+    ):
+        import threading
+
+        from repro.sim import Metric
+
+        release = threading.Event()
+        rows = []
+
+        class StalledPredictor:
+            metric = Metric.CYCLES
+
+            @staticmethod
+            def predict_invariant(configs):
+                release.wait(timeout=30)
+                rows.append(len(configs))
+                return np.zeros(len(configs))
+
+        async def scenario(registry):
+            batcher = PredictionBatcher(
+                StalledPredictor(), max_batch=64, batch_window=0.0,
+                queue_limit=1, cache_size=0,
+            )
+            await batcher.start()
+            try:
+                # The collector takes the first request and stalls in
+                # its forward pass; a 100-config request then parks.
+                first = asyncio.ensure_future(
+                    batcher.predict(holdout_configs[:3])
+                )
+                await asyncio.sleep(0.05)
+                parked = asyncio.ensure_future(
+                    batcher.predict(holdout_configs[3:103])
+                )
+                await asyncio.sleep(0.05)
+                with pytest.raises(ServerSaturated):
+                    await batcher.predict(holdout_configs[103:104])
+                assert (
+                    registry.value("serve.rejected", reason="queue-full")
+                    == 1
+                )
+                release.set()
+                answers = await asyncio.gather(first, parked)
+            finally:
+                release.set()
+                await batcher.stop()
+            assert [len(answer) for answer in answers] == [3, 100]
+            # The refused request left no work behind.
+            assert sum(rows) == 103
+
+        with scoped_registry() as registry:
+            run(scenario(registry))

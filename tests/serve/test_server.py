@@ -182,6 +182,23 @@ class TestConcurrency:
             )
 
 
+class TestLargeRequests:
+    def test_request_above_queue_limit_on_an_idle_server(
+        self, harness, fitted_predictor, space
+    ):
+        """2,000 configurations > queue_limit (1,024): one request, one
+        queue entry, answered in full rather than refused."""
+        from repro.designspace import sample_configurations
+
+        configs = sample_configurations(space, 2000, seed=2000)
+        server = harness()
+        assert server.server.batcher.queue_limit < len(configs)
+        with server.client(timeout=120) as client:
+            served = client.predict(configs)
+        direct = fitted_predictor.predict_invariant(configs)
+        assert np.array_equal(np.array(served), direct)
+
+
 class TestBackpressure:
     def test_saturated_server_returns_503(self, harness, holdout_configs):
         server = harness(max_batch=1, queue_limit=1, batch_window=0.0)

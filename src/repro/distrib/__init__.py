@@ -12,9 +12,10 @@ The design contracts:
 
 * **Bit-identical to serial.**  Workers draw the same deterministic
   per-cell retry seeds as the serial loop and results are journalled
-  through the same checksummed artifact layer, so a campaign's matrices
-  are identical regardless of worker count, interleaving, or whether it
-  ran serial, process-parallel or distributed.
+  through the same group commit with the same per-cell digests, so a
+  campaign's matrices are identical regardless of worker count,
+  interleaving, or whether it ran serial, process-parallel or
+  distributed.
 * **Resume is transparent.**  The coordinator plans against the same
   journal a serial run writes; any mode can resume any other mode's
   checkpoint.

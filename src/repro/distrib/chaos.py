@@ -283,11 +283,13 @@ class ChaosRunReport:
 
 
 def journal_checksums(checkpoint_dir) -> Dict[str, str]:
-    """cell id -> artifact checksum from a checkpoint journal.
+    """cell id -> per-cell content digest from a checkpoint journal.
 
-    The journal's *record order* reflects completion order (and so
-    differs run to run), but the mapping it encodes must not: this is
-    the form in which two checkpoints are compared for the
+    The journal's *record order* reflects completion order, and its
+    grouping of cells into files reflects the executor (a serial run
+    commits a chunk's cells together, the coordinator one cell at a
+    time), so both differ run to run.  The mapping it encodes must not:
+    this is the form in which two checkpoints are compared for the
     bit-identical guarantee.
     """
     journal = Path(checkpoint_dir) / "journal.jsonl"

@@ -27,14 +27,15 @@ whole fault story:
   mid-campaign, and flags workers whose observed completion rate drops
   below a fraction of the fleet median.
 
-Completed cells go through the *same*
-:meth:`~repro.runtime.campaign.CampaignRunner.store_cell` path as a
-serial run — same checksummed ``.npz`` files, same journal records — so
-``--resume`` is transparent across serial, process-parallel and
-distributed executions, and per-task retry seeds are the same
-``stable_seed("campaign-retry", cell, seed)`` stream the serial loop
-draws from, which is what makes a distributed campaign bit-identical
-to a serial one regardless of worker count or interleaving.
+Completed cells go through the *same* group commit as a serial run
+(:meth:`~repro.runtime.campaign.CampaignRunner.store_cell` commits each
+arriving result as a group of one) — same per-cell digests, same
+journal records — so ``--resume`` is transparent across serial,
+process-parallel and distributed executions, and per-task retry seeds
+are the same ``stable_seed("campaign-retry", cell, seed)`` stream the
+serial loop draws from, which is what makes a distributed campaign
+bit-identical to a serial one regardless of worker count or
+interleaving.
 """
 
 from __future__ import annotations
@@ -452,10 +453,10 @@ class CampaignCoordinator:
     def _restore_completed(self, plan: CampaignPlan) -> int:
         by_id = {cell.cell: cell for cell in plan.cells}
         resumed = 0
-        for cell_id, path in plan.completed.items():
+        for cell_id, stored in plan.completed.items():
             cell = by_id[cell_id]
             batch = self.runner.resume_cell(
-                cell_id, path, cell.stop - cell.start
+                cell_id, stored, cell.stop - cell.start
             )
             self.runner.fill_values(
                 self._values, cell.profile.name, cell.start, cell.stop,
@@ -1002,9 +1003,7 @@ class CampaignCoordinator:
                 )
         except (ValueError, SimulationError) as error:
             raise ProtocolError(str(error)) from error
-        self.runner.store_cell(
-            cell_id, cell.profile.name, cell.chunk_index, batch
-        )
+        self.runner.store_cell(cell_id, cell.chunk_index, batch, recorded)
         self.runner.fill_values(
             self._values, cell.profile.name, cell.start, cell.stop, batch
         )

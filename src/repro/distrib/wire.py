@@ -26,7 +26,8 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.designspace.configuration import Configuration
-from repro.runtime.artifact import payload_checksum
+# A result's wire digest is the per-cell digest the campaign journals.
+from repro.runtime.integrity import batch_checksum
 from repro.runtime.retry import RetryPolicy
 from repro.sim.interval import BatchResult
 from repro.workloads.profile import (
@@ -151,20 +152,6 @@ def batch_from_wire(wire: Dict[str, Sequence[float]]) -> BatchResult:
     if len(set(lengths.values())) != 1:
         raise ValueError(f"wire batch arrays disagree on length: {lengths}")
     return BatchResult(**arrays)
-
-
-def batch_checksum(batch: BatchResult) -> str:
-    """The artifact-layer digest of a batch's metric arrays.
-
-    Exactly the digest :func:`repro.runtime.artifact.payload_checksum`
-    would embed when the arrays are archived — computed worker-side
-    before encoding and re-computed coordinator-side after decoding, so
-    a result corrupted anywhere in between is rejected rather than
-    journalled.
-    """
-    return payload_checksum(
-        {field: getattr(batch, field) for field in _BATCH_FIELDS}
-    )
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .faults import (
     TransientSimulationError,
     VirtualClock,
 )
-from .integrity import array_checksum, file_checksum
+from .integrity import array_checksum, batch_checksum, file_checksum
 from .journal import CampaignJournal
 from .retry import (
     CircuitBreaker,
@@ -74,6 +74,7 @@ __all__ = [
     "TransientSimulationError",
     "VirtualClock",
     "array_checksum",
+    "batch_checksum",
     "call_with_retry",
     "file_checksum",
     "payload_checksum",

@@ -3,13 +3,15 @@
 A campaign is the cross product of programs and a shared configuration
 sample — exactly the shape of the paper's offline builds (T = 512
 simulations for each of 26 training programs).  The runner splits every
-program's configurations into fixed chunks, simulates each (program,
-chunk) *cell* behind the retry/breaker machinery, writes the cell's
-metric arrays to its own checksummed ``.npz`` and journals the
-completion.  Interrupt the process at any point and a rerun resumes
-from the journal: verified cells are loaded from disk, unfinished ones
-are re-simulated, and the assembled matrices are bit-identical to an
-uninterrupted run.
+program's configurations into fixed chunks and simulates each (program,
+chunk) *cell* behind the retry/breaker machinery.  Cells are committed
+a group at a time: one uncompressed ``.npz`` of (cells x
+configurations) metric matrices, fsynced and renamed into place, then
+one journal write of one line per cell carrying the cell's content
+digest, fsynced once.  Interrupt the process at any point and a rerun
+resumes from the journal: cells whose rows still match their digests
+are loaded from disk, unfinished ones are re-simulated, and the
+assembled matrices are bit-identical to an uninterrupted run.
 
 Every executor (the serial loop, the process pool and the distributed
 worker) runs the same unit of work, a :class:`CellGroup` of one chunk's
@@ -24,12 +26,15 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import itertools
 import json
 import os
 import pathlib
+import struct
 import time
 import uuid
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (
@@ -68,7 +73,9 @@ from .backend import (
     supports_suite,
     validate_batch,
 )
-from .integrity import array_checksum, file_checksum
+from .integrity import array_checksum, batch_checksum
+# No caller left here; the benchmark still hooks it (ROADMAP item 4).
+from .integrity import file_checksum  # noqa: F401
 from .journal import CampaignJournal
 from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy, call_with_retry
 
@@ -76,7 +83,9 @@ if TYPE_CHECKING:  # lazy import keeps runtime free of exploration
     from repro.exploration.dataset import DesignSpaceDataset
     from repro.workloads.suite import BenchmarkSuite
 
-_MANIFEST_VERSION = 1
+#: Checkpoint layout version: 2 is one file per committed group and
+#: one journal line per cell carrying its content digest.
+_MANIFEST_VERSION = 2
 _METRIC_FIELDS = ("cycles", "energy", "ed", "edd")
 
 _log = get_logger(__name__)
@@ -270,8 +279,8 @@ class CampaignPlan:
         configs: The shared configuration sample.
         chunks: ``(start, stop)`` bounds of each configuration chunk.
         cells: Every (program, chunk) cell, chunk-major.
-        completed: Journalled cells whose result files still verify,
-            mapped to their on-disk paths.
+        completed: Journalled cells whose stored rows still match their
+            digests, mapped to those verified metric arrays.
     """
 
     programs: Tuple[str, ...]
@@ -279,7 +288,7 @@ class CampaignPlan:
     configs: Tuple[Configuration, ...]
     chunks: Tuple[Tuple[int, int], ...]
     cells: Tuple[CampaignCell, ...]
-    completed: Dict[str, pathlib.Path]
+    completed: Dict[str, BatchResult]
 
     @property
     def remaining(self) -> Tuple[CampaignCell, ...]:
@@ -375,7 +384,7 @@ class CampaignRunner:
     Args:
         backend: Where simulations run (any :class:`SimulationBackend`).
         checkpoint_dir: Directory for the journal, the manifest and the
-            per-cell result files.
+            per-group result files.
         chunk_size: Configurations per cell — the unit of retry, of
             checkpointing and of loss on interruption.
         retry_policy: Per-cell retry policy (defaults to
@@ -500,10 +509,11 @@ class CampaignRunner:
         """Resolve the campaign's cells and what the journal already holds.
 
         Validates the inputs, checks (or creates) the checkpoint
-        manifest and verifies journalled cell files against their
-        checksums — everything :meth:`run` does before simulating, with
-        no simulation.  The distributed coordinator calls this to build
-        its work queue over the same checkpoint a serial run would use.
+        manifest, reads each journalled group file once and checks every
+        cell's rows against its digest — everything :meth:`run` does
+        before simulating, with no simulation.  The distributed
+        coordinator calls this to build its work queue over the same
+        checkpoint a serial run would use.
 
         Raises:
             ValueError: on empty inputs or an incompatible checkpoint.
@@ -574,8 +584,8 @@ class CampaignRunner:
         maps :func:`run_group` in process with the campaign-wide
         breaker and the ``sleep``/``clock`` hooks; ``n_jobs > 1`` maps
         it over a process pool, each task with a private breaker and
-        its telemetry shipped back for merging.  Results are journalled
-        in group order either way.
+        its telemetry shipped back for merging.  Each group is committed
+        by :meth:`commit_group` in group order either way.
         """
         registry = get_registry()
         tracer = get_tracer()
@@ -648,16 +658,16 @@ class CampaignRunner:
                         )
                     failed.extend(group.cells)
                     continue
+                self.commit_group(
+                    group.chunk_index, group.cells, outcome.batches
+                )
                 for cell_id, batch in zip(group.cells, outcome.batches):
                     cell = by_id[cell_id]
-                    self.store_cell(
-                        cell.cell, cell.profile.name, cell.chunk_index, batch
-                    )
                     self.fill_values(
                         values, cell.profile.name, cell.start, cell.stop,
                         batch,
                     )
-                    simulated += 1
+                simulated += len(group.cells)
         return CampaignResult(
             programs=plan.programs,
             configs=plan.configs,
@@ -828,6 +838,17 @@ class CampaignRunner:
                 raise ValueError(
                     f"corrupt campaign manifest {self.manifest_path}"
                 ) from error
+            version = (
+                existing.get("version") if isinstance(existing, dict)
+                else None
+            )
+            if version != _MANIFEST_VERSION:
+                raise ValueError(
+                    f"checkpoint directory {self.checkpoint_dir} uses "
+                    f"checkpoint layout version {version}; this release "
+                    f"reads only layout version {_MANIFEST_VERSION}. "
+                    "Run the campaign in a fresh directory"
+                )
             if existing != manifest:
                 raise ValueError(
                     "checkpoint directory belongs to a different campaign "
@@ -839,87 +860,112 @@ class CampaignRunner:
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )
 
-    def _verified_completed_cells(self) -> Dict[str, pathlib.Path]:
-        """Journalled cells whose result files still pass their checksum."""
-        completed: Dict[str, pathlib.Path] = {}
+    def _verified_completed_cells(self) -> Dict[str, BatchResult]:
+        """Journalled cells whose stored rows still match their digests.
+
+        Each group file is read once.  A file that does not load
+        (missing, truncated, a broken zip) costs all of its cells; a
+        digest mismatch costs only that cell.  A later record for a
+        cell replaces an earlier one.
+        """
+        completed: Dict[str, BatchResult] = {}
+        groups: Dict[str, Optional[Dict[str, np.ndarray]]] = {}
         for record in self.journal.records():
             cell = record.get("cell")
             filename = record.get("file")
             checksum = record.get("checksum")
-            if not (cell and filename and checksum):
+            row = record.get("row")
+            if not (cell and filename and checksum and isinstance(row, int)):
                 continue
-            path = self.checkpoint_dir / filename
-            if not path.exists() or file_checksum(path) != checksum:
+            if filename not in groups:
+                groups[filename] = _read_group(self.checkpoint_dir / filename)
+            arrays = groups[filename]
+            if arrays is None or not 0 <= row < len(arrays["cycles"]):
                 continue  # damaged or missing: re-simulate this cell
-            completed[cell] = path
+            batch = BatchResult(
+                **{field: arrays[field][row] for field in _METRIC_FIELDS}
+            )
+            if batch_checksum(batch) == checksum:
+                completed[cell] = batch
         return completed
 
-    def _cell_path(self, program: str, chunk_index: int) -> pathlib.Path:
-        return self.chunks_dir / f"{program}__{chunk_index:05d}.npz"
-
-    def store_cell(
-        self, cell: str, program: str, chunk_index: int, batch: BatchResult
+    def commit_group(
+        self,
+        chunk_index: int,
+        cells: Sequence[str],
+        batches: Sequence[BatchResult],
+        digests: Optional[Sequence[str]] = None,
     ) -> None:
-        """Write the cell atomically, then journal it with its checksum.
+        """Make one group's cells durable: one file, then one journal write.
 
-        The arrays go to a scratch file first, are fsynced, and only
-        then renamed over the final name — a crash at any point leaves
-        either no cell file or a complete one, never a torn ``.npz``
-        that a later ``--resume`` would have to distrust.  (The journal
-        checksum would catch a torn file anyway; the atomic write means
-        it never has to.)
+        The (cells x configurations) matrices go to an uncompressed
+        ``.npz`` scratch file that is fsynced and renamed into place;
+        only then is one line per cell journalled, in one fsynced write.
+        The file is named after the chunk and a hash of the cells'
+        digests, so re-committing part of a group never replaces a file
+        that journalled cells still point to; a name repeats only for
+        equal arrays.
+
+        Args:
+            chunk_index: The chunk the cells belong to.
+            cells: Cell ids, in row order.
+            batches: One result per cell.
+            digests: The cells' :func:`batch_checksum` values when the
+                caller has already verified them; computed otherwise.
         """
+        start = time.perf_counter()
+        if digests is None:
+            digests = [batch_checksum(batch) for batch in batches]
+        name = hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
+        path = self.chunks_dir / f"{chunk_index:05d}-{name[:16]}.npz"
+        scratch = path.with_suffix(".tmp")
         self.chunks_dir.mkdir(parents=True, exist_ok=True)
-        path = self._cell_path(program, chunk_index)
-        # numpy appends ".npz" to names lacking it, so the scratch file
-        # must already end in ".npz" for the rename below to find it.
-        scratch = path.with_name(path.stem + ".tmp.npz")
         try:
-            np.savez_compressed(
-                scratch,
-                **{
-                    field: getattr(batch, field) for field in _METRIC_FIELDS
-                },
-            )
-            with open(scratch, "rb") as handle:
+            with open(scratch, "wb") as handle:
+                np.savez(handle, **{
+                    field: np.stack([getattr(b, field) for b in batches])
+                    for field in _METRIC_FIELDS
+                })
+                handle.flush()
                 os.fsync(handle.fileno())
             os.replace(scratch, path)
         except BaseException:
             scratch.unlink(missing_ok=True)
             raise
-        self.journal.append(
-            {
-                "cell": cell,
-                "file": str(path.relative_to(self.checkpoint_dir)),
-                "checksum": file_checksum(path),
-            }
+        relative = str(path.relative_to(self.checkpoint_dir))
+        self.journal.append(*(
+            {"cell": cell, "file": relative, "row": row, "checksum": digest}
+            for row, (cell, digest) in enumerate(zip(cells, digests))
+        ))
+        get_registry().histogram("campaign.commit.seconds").observe(
+            time.perf_counter() - start
         )
-        _log.debug(
-            "journalled cell %s -> %s", cell, path.name,
-            extra={"event": "campaign.cell_stored", "cell": cell},
-        )
+        for cell in cells:
+            _log.debug(
+                "journalled cell %s -> %s", cell, path.name,
+                extra={"event": "campaign.cell_stored", "cell": cell},
+            )
+
+    def store_cell(
+        self, cell: str, chunk_index: int, batch: BatchResult, digest: str
+    ) -> None:
+        """Commit one verified cell as a group of one (the coordinator)."""
+        self.commit_group(chunk_index, [cell], [batch], [digest])
 
     def resume_cell(
-        self, cell: str, path: pathlib.Path, expected: int
+        self, cell: str, batch: BatchResult, expected: int
     ) -> BatchResult:
-        """Load a journalled cell back from disk, checking its shape.
+        """Check a verified checkpointed cell's shape before it is used.
 
         Shared by the campaign loop and the distributed coordinator, so
         every executor restores checkpoints identically.
         """
-        batch = self._load_cell(path)
         if len(batch) != expected:
             raise ValueError(
                 f"checkpointed cell {cell} holds {len(batch)} "
                 f"configurations, expected {expected}"
             )
         return batch
-
-    def _load_cell(self, path: pathlib.Path) -> BatchResult:
-        with np.load(path, allow_pickle=False) as archive:
-            return BatchResult(
-                **{field: archive[field] for field in _METRIC_FIELDS}
-            )
 
     @staticmethod
     def fill_values(
@@ -932,3 +978,34 @@ class CampaignRunner:
         """Write one cell's metric arrays into the campaign matrices."""
         for metric in Metric.all():
             values[(program, metric)][start:stop] = batch.metric(metric)
+
+
+def _read_group(path: pathlib.Path) -> Optional[Dict[str, np.ndarray]]:
+    """A group file's metric matrices, or ``None`` when it does not load.
+
+    Each member is read from its stored bytes past the zip's CRC, so a
+    flipped byte costs only the cells whose digests it breaks, not the
+    whole group.
+    """
+    try:
+        with open(path, "rb") as handle, zipfile.ZipFile(handle) as archive:
+            arrays = {}
+            for field in _METRIC_FIELDS:
+                info = archive.getinfo(f"{field}.npy")
+                if info.compress_type != zipfile.ZIP_STORED:
+                    return None
+                # The local header is 30 bytes; its name and extra-field
+                # lengths sit at offset 26 and the data follows them.
+                handle.seek(info.header_offset + 26)
+                name, extra = struct.unpack("<HH", handle.read(4))
+                handle.seek(info.header_offset + 30 + name + extra)
+                arrays[field] = np.lib.format.read_array(
+                    handle, allow_pickle=False
+                )
+    except (OSError, ValueError, KeyError, EOFError, struct.error,
+            zipfile.BadZipFile):
+        return None
+    shapes = {array.shape for array in arrays.values()}
+    if len(shapes) != 1 or len(shapes.pop()) != 2:
+        return None
+    return arrays

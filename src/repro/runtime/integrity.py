@@ -15,6 +15,12 @@ from typing import Union
 
 import numpy as np
 
+from repro.sim.interval import BatchResult
+
+from .artifact import payload_checksum
+
+_BATCH_FIELDS = ("cycles", "energy", "ed", "edd")
+
 
 def array_checksum(*arrays: np.ndarray) -> str:
     """SHA-256 hex digest over a sequence of arrays.
@@ -38,3 +44,17 @@ def file_checksum(path: Union[str, pathlib.Path]) -> str:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def batch_checksum(batch: BatchResult) -> str:
+    """The per-cell content digest of a batch's four metric arrays.
+
+    Exactly the digest :func:`repro.runtime.artifact.payload_checksum`
+    would embed when the arrays are archived.  The campaign journals it
+    for every cell, whichever executor computed the cell, and the
+    distributed wire carries it with every result so the coordinator
+    rejects arrays corrupted in transit instead of journalling them.
+    """
+    return payload_checksum(
+        {field: getattr(batch, field) for field in _BATCH_FIELDS}
+    )

@@ -246,7 +246,8 @@ class TestResume:
 
         again = runner.run(tiny_suite, tiny_configs, resume=True)
         assert again.complete
-        assert again.simulated_cells == 1  # only the damaged cell
+        # A file that no longer loads costs its group: one chunk's 3 cells
+        assert again.simulated_cells == 3
         assert np.array_equal(
             again.matrix(Metric.CYCLES), clean_result.matrix(Metric.CYCLES)
         )
@@ -259,7 +260,7 @@ class TestResume:
         victim.unlink()
         again = runner.run(tiny_suite, tiny_configs, resume=True)
         assert again.complete
-        assert again.simulated_cells == 1
+        assert again.simulated_cells == 3  # the file's whole group
 
     def test_refuses_existing_checkpoint_without_resume(self, backend,
                                                         tiny_suite,
@@ -614,8 +615,8 @@ class TestJournalCrashRecovery:
     def test_truncated_chunk_file_recovery_is_bit_identical(
         self, backend, tiny_suite, tiny_configs, tmp_path, clean_result
     ):
-        """A chunk .npz cut off mid-write fails its journalled checksum;
-        the cell is re-simulated and every metric still matches."""
+        """A group .npz cut off mid-write no longer loads; its cells are
+        re-simulated and every metric still matches."""
         target = tmp_path / "cutoff"
         runner = CampaignRunner(backend, target, chunk_size=16)
         runner.run(tiny_suite, tiny_configs)
@@ -627,7 +628,7 @@ class TestJournalCrashRecovery:
 
         again = runner.run(tiny_suite, tiny_configs, resume=True)
         assert again.complete
-        assert again.simulated_cells == len(victims)
+        assert again.simulated_cells == 6  # two groups of 3 cells
         for metric in Metric.all():
             assert np.array_equal(
                 again.matrix(metric), clean_result.matrix(metric)
@@ -655,3 +656,147 @@ class TestJournalCrashRecovery:
             assert np.array_equal(
                 again.matrix(metric), clean_result.matrix(metric)
             )
+
+
+class TestGroupCommit:
+    """A suite backend commits one chunk's cells as one group: one file,
+    one journal write.  Every crash point of that layout costs at most
+    the damaged cells and resumes into bit-identical matrices."""
+
+    @staticmethod
+    def _cut_journal(root, kept):
+        journal = root / "journal.jsonl"
+        lines = journal.read_text(encoding="utf-8").splitlines(keepends=True)
+        journal.write_text("".join(lines[:kept]), encoding="utf-8")
+
+    @staticmethod
+    def _assert_matches(result, clean_result):
+        for metric in Metric.all():
+            assert np.array_equal(
+                result.matrix(metric), clean_result.matrix(metric)
+            )
+
+    def test_one_file_per_group_and_one_journal_line_per_cell(
+        self, backend, tiny_suite, tiny_configs, tmp_path
+    ):
+        runner = CampaignRunner(backend, tmp_path / "ck", chunk_size=16)
+        result = runner.run(tiny_suite, tiny_configs)
+        files = sorted((tmp_path / "ck" / "chunks").glob("*"))
+        assert [path.name[:6] for path in files] == [
+            "00000-", "00001-", "00002-", "00003-",
+        ]
+        records = runner.journal.records()
+        assert len(records) == result.total_cells
+        assert {record["file"] for record in records} == {
+            f"chunks/{path.name}" for path in files
+        }
+        with np.load(files[0]) as archive:
+            assert archive["cycles"].shape == (3, 16)
+            assert archive["cycles"].dtype == np.float64
+
+    def test_torn_append_after_partial_run_still_completes(
+        self, backend, tiny_suite, tiny_configs, tmp_path, clean_result
+    ):
+        """The next append must not fuse with a torn tail: the resume
+        finishes and its manifest counts every record."""
+        target = tmp_path / "torn5"
+        runner = CampaignRunner(backend, target, chunk_size=16)
+        runner.run(tiny_suite, tiny_configs, max_cells=5)
+        journal = target / "journal.jsonl"
+        text = journal.read_text(encoding="utf-8")
+        journal.write_text(text[: len(text) - 25], encoding="utf-8")
+
+        again = runner.run(tiny_suite, tiny_configs, resume=True)
+        assert again.complete
+        assert again.resumed_cells == 4
+        assert again.simulated_cells == 8
+        assert len(runner.journal.records()) == again.total_cells
+        self._assert_matches(again, clean_result)
+
+    def test_torn_tail_costs_one_resume_only(
+        self, backend, tiny_suite, tiny_configs, tmp_path, clean_result
+    ):
+        target = tmp_path / "torn"
+        runner = CampaignRunner(backend, target, chunk_size=16)
+        runner.run(tiny_suite, tiny_configs)
+        journal = target / "journal.jsonl"
+        text = journal.read_text(encoding="utf-8")
+        journal.write_text(text[: len(text) - 25], encoding="utf-8")
+
+        first = runner.run(tiny_suite, tiny_configs, resume=True)
+        assert first.simulated_cells == 1
+        second = runner.run(tiny_suite, tiny_configs, resume=True)
+        assert second.simulated_cells == 0
+        assert second.resumed_cells == second.total_cells
+        self._assert_matches(second, clean_result)
+
+    def test_journal_cut_mid_group_resumes_twice(
+        self, backend, tiny_suite, tiny_configs, tmp_path, clean_result
+    ):
+        """Re-committing the rest of a cut group writes a new file: the
+        one holding the group's journalled cell is never replaced."""
+        target = tmp_path / "midgroup"
+        runner = CampaignRunner(backend, target, chunk_size=16)
+        runner.run(tiny_suite, tiny_configs)
+        self._cut_journal(target, 10)  # keeps gzip:3, drops applu:3, art:3
+
+        first = runner.run(tiny_suite, tiny_configs, resume=True)
+        assert first.simulated_cells == 2
+        assert len(list((target / "chunks").glob("00003-*.npz"))) == 2
+        second = runner.run(tiny_suite, tiny_configs, resume=True)
+        assert second.simulated_cells == 0
+        self._assert_matches(second, clean_result)
+
+    def test_flipped_byte_costs_only_its_cell(
+        self, backend, tiny_suite, tiny_configs, tmp_path, clean_result
+    ):
+        target = tmp_path / "flip"
+        runner = CampaignRunner(backend, target, chunk_size=16)
+        runner.run(tiny_suite, tiny_configs)
+        victim = sorted((target / "chunks").glob("00000-*.npz"))[0]
+        with np.load(victim) as archive:
+            value = archive["energy"][1, 5].tobytes()  # applu:0's row
+        data = bytearray(victim.read_bytes())
+        assert data.count(value) == 1
+        data[data.index(value)] ^= 0x01
+        victim.write_bytes(bytes(data))
+
+        again = runner.run(tiny_suite, tiny_configs, resume=True)
+        assert again.complete
+        assert again.simulated_cells == 1
+        assert again.resumed_cells == again.total_cells - 1
+        self._assert_matches(again, clean_result)
+
+    def test_unjournalled_group_file_is_ignored(
+        self, backend, tiny_suite, tiny_configs, tmp_path, clean_result
+    ):
+        """The file landed, the journal write did not: the cells are
+        redone, and the re-commit's file replaces it with equal arrays."""
+        target = tmp_path / "orphan"
+        runner = CampaignRunner(backend, target, chunk_size=16)
+        runner.run(tiny_suite, tiny_configs)
+        self._cut_journal(target, 9)  # chunk 3's file is now orphaned
+        assert len(list((target / "chunks").glob("00003-*.npz"))) == 1
+
+        again = runner.run(tiny_suite, tiny_configs, resume=True)
+        assert again.simulated_cells == 3
+        assert len(list((target / "chunks").glob("00003-*.npz"))) == 1
+        self._assert_matches(again, clean_result)
+        assert runner.run(
+            tiny_suite, tiny_configs, resume=True
+        ).simulated_cells == 0
+
+    def test_version_one_checkpoint_refused(
+        self, backend, tiny_suite, tiny_configs, tmp_path
+    ):
+        import json
+
+        target = tmp_path / "v1"
+        runner = CampaignRunner(backend, target, chunk_size=16)
+        runner.run(tiny_suite, tiny_configs, max_cells=3)
+        manifest = json.loads(runner.manifest_path.read_text())
+        manifest["version"] = 1
+        runner.manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="layout version 1") as error:
+            runner.run(tiny_suite, tiny_configs, resume=True)
+        assert "different campaign" not in str(error.value)

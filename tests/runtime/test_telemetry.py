@@ -239,6 +239,26 @@ class TestParallelParity:
         assert counts["serial"]["spans"] == counts["serial"]["simulated"]
         assert counts["serial"]["chunk.count"] == counts["serial"]["attempts"]
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_commit_observed_once_per_group(
+        self, n_jobs, backend, tiny_suite, tiny_configs, tmp_path
+    ):
+        """``campaign.commit.seconds`` times each group's file write,
+        fsync, rename and journal write, apart from the backend call."""
+        runner = CampaignRunner(
+            backend, tmp_path / "ck", chunk_size=16, n_jobs=n_jobs
+        )
+        with scoped_registry() as registry:
+            runner.run(tiny_suite, tiny_configs, max_cells=5)
+        # chunk 0's three cells, then chunk 1's first two
+        assert registry.histogram("campaign.commit.seconds").count == 2
+        with scoped_registry() as registry:
+            rest = runner.run(tiny_suite, tiny_configs)
+        assert rest.simulated_cells == 7
+        # chunk 1's last cell, then chunks 2 and 3
+        assert registry.histogram("campaign.commit.seconds").count == 3
+        assert registry.histogram("campaign.chunk.seconds").count == 3
+
     def test_parallel_cell_spans_for_batch_only_backends(
         self, backend, tiny_suite, tiny_configs, tmp_path
     ):

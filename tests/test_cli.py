@@ -171,6 +171,22 @@ class TestCheckpointResume:
         err = capsys.readouterr().err
         assert "--resume" in err
 
+    def test_torn_journal_resumes_twice(self, tmp_path, capsys):
+        """A kill mid-append leaves a torn journal tail: the first
+        resume redoes that cell, the second finds nothing left to do."""
+        checkpoint = tmp_path / "ck"
+        argv = ["simulate", "--program", "gzip", "--samples", "128",
+                "--chunk-size", "32", "--jobs", "2",
+                "--checkpoint-dir", str(checkpoint)]
+        assert main(argv) == 0
+        journal = checkpoint / "journal.jsonl"
+        text = journal.read_text()
+        journal.write_text(text[: len(text) - 25])
+        assert main(argv + ["--resume"]) == 0
+        assert "1 chunk(s) simulated" in capsys.readouterr().out
+        assert main(argv + ["--resume"]) == 0
+        assert "0 chunk(s) simulated, 4 resumed" in capsys.readouterr().out
+
     def test_explore_reuses_checkpointed_offline_build(self, tmp_path,
                                                        capsys):
         checkpoint = tmp_path / "offline"

@@ -8,6 +8,7 @@ simulation results.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Tuple
 
@@ -28,6 +29,9 @@ PARAMETER_ORDER: Tuple[str, ...] = (
     "dcache_kb",
     "l2cache_kb",
 )
+
+#: The 13 values of a configuration as one tuple, in canonical order.
+_values_of = operator.attrgetter(*PARAMETER_ORDER)
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ class Configuration:
 
     def values(self) -> Tuple[int, ...]:
         """Return the raw parameter values in canonical order."""
-        return tuple(getattr(self, name) for name in PARAMETER_ORDER)
+        return _values_of(self)
 
     def replace(self, **overrides: int) -> "Configuration":
         """Return a copy with some parameters replaced."""

@@ -204,7 +204,7 @@ class DesignSpace:
             value = getattr(config, parameter.name)
             if value not in parameter.values:
                 raise ValueError(
-                    f"{parameter.name}={value} is off the grid "
+                    f"{parameter.name}={value!r} is off the grid "
                     f"{parameter.values}"
                 )
         if not self.satisfies_constraints(config):

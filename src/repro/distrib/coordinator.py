@@ -317,7 +317,9 @@ class CampaignCoordinator:
                 error, trace_start, started
             )
             raise
-        self.runner._finalize(result, trace_start, started)
+        self.runner._finalize(
+            result, self._plan.configs_checksum, trace_start, started
+        )
         return result
 
     async def run_async(

@@ -12,6 +12,7 @@ environment, not the configuration.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
@@ -31,12 +32,15 @@ __all__ = ["build_manifest", "write_manifest", "git_sha"]
 MANIFEST_SCHEMA = 1
 
 
+@functools.lru_cache(maxsize=None)
 def git_sha() -> Optional[str]:
     """The repository HEAD sha, or ``None`` outside a git checkout.
 
     Resolved relative to this file so an installed-from-checkout
     package reports its commit; failures (no git binary, no repository,
     a shallow CI export) degrade to ``None`` rather than raising.
+    Resolved once per process: a running process cannot change the
+    code it imported, so the first answer is also the accurate one.
     """
     try:
         completed = subprocess.run(

@@ -277,6 +277,8 @@ class CampaignPlan:
         programs: Program names in campaign order.
         profiles: The matching workload profiles.
         configs: The shared configuration sample.
+        configs_checksum: Checksum of the sample's value matrix, as the
+            checkpoint manifest and the run manifest record it.
         chunks: ``(start, stop)`` bounds of each configuration chunk.
         cells: Every (program, chunk) cell, chunk-major.
         completed: Journalled cells whose stored rows still match their
@@ -286,6 +288,7 @@ class CampaignPlan:
     programs: Tuple[str, ...]
     profiles: Tuple[WorkloadProfile, ...]
     configs: Tuple[Configuration, ...]
+    configs_checksum: str
     chunks: Tuple[Tuple[int, int], ...]
     cells: Tuple[CampaignCell, ...]
     completed: Dict[str, BatchResult]
@@ -497,7 +500,7 @@ class CampaignRunner:
             # --resume needs the provenance, not a missing manifest.
             self._write_interrupted_manifest(error, trace_start, started)
             raise
-        self._finalize(result, trace_start, started)
+        self._finalize(result, plan.configs_checksum, trace_start, started)
         return result
 
     def plan(
@@ -522,7 +525,8 @@ class CampaignRunner:
         if not configs:
             raise ValueError("a campaign needs at least one configuration")
         programs = tuple(profile.name for profile in profile_list)
-        self._check_manifest(programs, configs, resume)
+        checksum = self._config_checksum(configs)
+        self._check_manifest(programs, len(configs), checksum, resume)
         chunks = tuple(self._chunk_bounds(len(configs)))
         cells = tuple(
             CampaignCell(
@@ -539,6 +543,7 @@ class CampaignRunner:
             programs=programs,
             profiles=tuple(profile_list),
             configs=tuple(configs),
+            configs_checksum=checksum,
             chunks=chunks,
             cells=cells,
             completed=self._verified_completed_cells(),
@@ -715,7 +720,8 @@ class CampaignRunner:
             pass
 
     def _finalize(
-        self, result: CampaignResult, trace_start: int, started: float
+        self, result: CampaignResult, configs_checksum: str,
+        trace_start: int, started: float,
     ) -> None:
         """Record campaign-level metrics and write the run manifest."""
         registry = get_registry()
@@ -749,7 +755,7 @@ class CampaignRunner:
         manifest = build_manifest(
             run_id=uuid.uuid4().hex,
             seed=self.seed,
-            config_checksum=self._config_checksum(result.configs),
+            config_checksum=configs_checksum,
             extra={
                 "kind": "campaign",
                 "status": "complete" if result.complete else "incomplete",
@@ -806,22 +812,23 @@ class CampaignRunner:
 
     def _config_checksum(self, configs: Sequence[Configuration]) -> str:
         matrix = np.array(
-            [list(config.values()) for config in configs], dtype=np.int64
+            [config.values() for config in configs], dtype=np.int64
         )
         return array_checksum(matrix)
 
     def _check_manifest(
         self,
         programs: Tuple[str, ...],
-        configs: Sequence[Configuration],
+        config_count: int,
+        configs_checksum: str,
         resume: bool,
     ) -> None:
         manifest = {
             "version": _MANIFEST_VERSION,
             "programs": list(programs),
-            "config_count": len(configs),
+            "config_count": config_count,
             "chunk_size": self.chunk_size,
-            "configs_checksum": self._config_checksum(configs),
+            "configs_checksum": configs_checksum,
         }
         if self.manifest_path.exists():
             if not resume:

@@ -59,8 +59,19 @@ def hierarchy_miss_ratios(
     Accepts scalars or numpy arrays for the capacities (broadcast
     together), so a whole batch of configurations evaluates in one call.
     """
-    l1_effective = effective_capacity(l1_capacity_bytes, l1_associativity)
-    l2_effective = effective_capacity(l2_capacity_bytes, l2_associativity)
+    return effective_miss_ratios(
+        locality,
+        effective_capacity(l1_capacity_bytes, l1_associativity),
+        effective_capacity(l2_capacity_bytes, l2_associativity),
+    )
+
+
+def effective_miss_ratios(
+    locality: LocalityModel, l1_effective, l2_effective
+) -> HierarchyMissRatios:
+    """:func:`hierarchy_miss_ratios` from the caches' effective
+    capacities (:func:`effective_capacity`), which depend on the
+    configuration alone and so can be computed once per batch."""
     l1_miss = np.asarray(locality.miss_ratio(l1_effective), dtype=float)
     l2_capacity_miss = np.asarray(locality.miss_ratio(l2_effective), dtype=float)
     # An inclusive L2 smaller than its L1 would be degenerate; the design

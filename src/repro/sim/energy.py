@@ -13,6 +13,9 @@ pipeline analytically:
   wakeup, LSQ disambiguation) charges every entry's comparator.
 * :func:`cache_access_energy` — a set-associative cache probes ``assoc``
   tag + data ways per access.
+* :func:`structure_energies` / :func:`core_area` — every structure's
+  access energy and the core's area, for one machine or a whole batch of
+  configurations at once (the interval model builds them once per batch).
 * :class:`EnergyModel` — per-machine table of access energies plus total
   leakage power (leakage is proportional to area, so big idle structures
   hurt exactly the way Section 3.4 describes).
@@ -26,11 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Mapping
 
 import numpy as np
 
-from .machine import MachineSpec, functional_units
+from .machine import FixedParameters, MachineSpec, functional_units
 
 # Technology calibration constants (loosely 70 nm-class, arbitrary units
 # scaled so a baseline core spends a few nJ per instruction).
@@ -141,7 +144,11 @@ def cache_area(capacity_bytes):
 
 @dataclass(frozen=True)
 class StructureEnergies:
-    """Per-access energies (nJ) of every major structure of a machine."""
+    """Per-access energies (nJ) of every major structure of a machine.
+
+    :func:`structure_energies` fills the fields with scalars for one
+    machine or with arrays for a batch of configurations.
+    """
 
     rob_read: float
     rob_write: float
@@ -159,6 +166,78 @@ class StructureEnergies:
     rename_access: float
 
 
+def structure_energies(
+    columns: Mapping, fixed: FixedParameters
+) -> StructureEnergies:
+    """Per-access energies of every structure of one or many machines.
+
+    Args:
+        columns: Each Table 1 parameter name mapped to its value, or to
+            an array of values (one per configuration); the energies
+            come back with the same shape.
+        fixed: The fixed line sizes and associativities of the caches.
+    """
+    width = columns["width"]
+    rf_ports = columns["rf_read_ports"] + columns["rf_write_ports"]
+    return StructureEnergies(
+        rob_read=array_read_energy(columns["rob_size"], 76, 2 * width),
+        rob_write=array_write_energy(columns["rob_size"], 76, 2 * width),
+        iq_write=array_write_energy(columns["iq_size"], 48, width),
+        iq_wakeup=cam_search_energy(columns["iq_size"], 10),
+        lsq_search=cam_search_energy(columns["lsq_size"], 40),
+        lsq_write=array_write_energy(columns["lsq_size"], 72, width),
+        rf_read=array_read_energy(columns["rf_size"], 64, rf_ports),
+        rf_write=array_write_energy(columns["rf_size"], 64, rf_ports),
+        gshare_access=array_read_energy(columns["gshare_size"], 2),
+        btb_access=array_read_energy(columns["btb_size"], 60),
+        icache_access=cache_access_energy(
+            columns["icache_kb"] * 1024.0,
+            fixed.l1_line_bytes,
+            fixed.l1_associativity,
+        ),
+        dcache_access=cache_access_energy(
+            columns["dcache_kb"] * 1024.0,
+            fixed.l1_line_bytes,
+            fixed.l1_associativity,
+        ),
+        l2_access=cache_access_energy(
+            columns["l2cache_kb"] * 1024.0,
+            fixed.l2_line_bytes,
+            fixed.l2_associativity,
+        ),
+        rename_access=array_read_energy(64, 8, 2 * width),
+    )
+
+
+def core_area(columns: Mapping, units: Mapping):
+    """Relative core area (drives leakage and the clock tree).
+
+    The arrays, both register files, the caches and the ALUs; ``units``
+    holds the width-scaled functional-unit counts of Table 2(b).
+    Shape-polymorphic like :func:`structure_energies`.
+    """
+    width = columns["width"]
+    rf_ports = columns["rf_read_ports"] + columns["rf_write_ports"]
+    alu_area = 1.6e5 * (
+        units["int_alu"]
+        + 2.0 * units["int_mul"]
+        + 2.5 * units["fp_alu"]
+        + 4.0 * units["fp_mul"]
+    )
+    return (
+        array_area(columns["rob_size"], 76, 2 * width)
+        + array_area(columns["iq_size"], 48, width)
+        + array_area(columns["lsq_size"], 72, width)
+        + 2.0 * array_area(columns["rf_size"], 64, rf_ports)  # int + fp
+        + array_area(columns["gshare_size"], 2)
+        + array_area(columns["btb_size"], 60)
+        + cache_area(columns["icache_kb"] * 1024.0)
+        + cache_area(columns["dcache_kb"] * 1024.0)
+        + cache_area(columns["l2cache_kb"] * 1024.0)
+        + alu_area
+    )
+
+
 class EnergyModel:
     """Energy model of one machine configuration.
 
@@ -168,67 +247,10 @@ class EnergyModel:
 
     def __init__(self, spec: MachineSpec) -> None:
         self.spec = spec
-        config = spec.configuration
-        fixed = spec.fixed
-        width = config.width
-        units = functional_units(width)
-
-        self.energies = StructureEnergies(
-            rob_read=array_read_energy(config.rob_size, 76, ports=2 * width),
-            rob_write=array_write_energy(config.rob_size, 76, ports=2 * width),
-            iq_write=array_write_energy(config.iq_size, 48, ports=width),
-            iq_wakeup=cam_search_energy(config.iq_size, 10),
-            lsq_search=cam_search_energy(config.lsq_size, 40),
-            lsq_write=array_write_energy(config.lsq_size, 72, ports=width),
-            rf_read=array_read_energy(
-                config.rf_size,
-                64,
-                ports=config.rf_read_ports + config.rf_write_ports,
-            ),
-            rf_write=array_write_energy(
-                config.rf_size,
-                64,
-                ports=config.rf_read_ports + config.rf_write_ports,
-            ),
-            gshare_access=array_read_energy(config.gshare_size, 2),
-            btb_access=array_read_energy(config.btb_size, 60),
-            icache_access=cache_access_energy(
-                config.icache_kb * 1024,
-                fixed.l1_line_bytes,
-                fixed.l1_associativity,
-            ),
-            dcache_access=cache_access_energy(
-                config.dcache_kb * 1024,
-                fixed.l1_line_bytes,
-                fixed.l1_associativity,
-            ),
-            l2_access=cache_access_energy(
-                config.l2cache_kb * 1024,
-                fixed.l2_line_bytes,
-                fixed.l2_associativity,
-            ),
-            rename_access=array_read_energy(64, 8, ports=2 * width),
-        )
-
-        rf_ports = config.rf_read_ports + config.rf_write_ports
-        alu_area = 1.6e5 * (
-            units["int_alu"]
-            + 2.0 * units["int_mul"]
-            + 2.5 * units["fp_alu"]
-            + 4.0 * units["fp_mul"]
-        )
-        self.area = (
-            array_area(config.rob_size, 76, ports=2 * width)
-            + array_area(config.iq_size, 48, ports=width)
-            + array_area(config.lsq_size, 72, ports=width)
-            + array_area(config.rf_size, 64, ports=rf_ports) * 2  # int + fp
-            + array_area(config.gshare_size, 2)
-            + array_area(config.btb_size, 60)
-            + cache_area(config.icache_kb * 1024)
-            + cache_area(config.dcache_kb * 1024)
-            + cache_area(config.l2cache_kb * 1024)
-            + alu_area
-        )
+        columns = spec.configuration.as_dict()
+        width = columns["width"]
+        self.energies = structure_energies(columns, spec.fixed)
+        self.area = core_area(columns, functional_units(width))
         #: Leakage power in nJ per cycle.
         self.leakage_power = self.area * LEAKAGE_PER_AREA
         #: Clock-tree energy in nJ per cycle.

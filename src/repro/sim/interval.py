@@ -38,7 +38,7 @@ and clock power integrated over the elapsed cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -48,8 +48,8 @@ from repro.workloads.profile import WorkloadProfile
 
 from . import energy as energy_model
 from .branch import branch_penalties
-from .caches import hierarchy_miss_ratios
-from .machine import FixedParameters, functional_units
+from .caches import effective_capacity, effective_miss_ratios
+from .machine import FixedParameters
 from .metrics import Metric, derive_metrics
 
 #: Instructions per I-cache line fetch (32-byte lines, 4-byte insns).
@@ -102,12 +102,26 @@ class BatchResult:
 
 
 @dataclass(frozen=True)
-class _ProfileInvariants:
-    """Config-independent quantities of one profile, cached across
-    batches so repeated campaign chunks do not recompute them."""
+class _Columns:
+    """What the model reads from a batch of configurations alone.
 
-    instructions: float
-    alu_energy: float
+    Built once per batch by :meth:`IntervalSimulator._columns` and shared
+    by every program's pass: the raw parameter columns (indexable by
+    parameter name), the unit-cube coordinates the idiosyncrasy terms
+    read, the width-scaled functional-unit counts (Table 2b), the
+    caches' effective capacities in bytes, every structure's per-access
+    energy, and the leakage plus clock energy charged per cycle.
+    """
+
+    values: Dict[str, np.ndarray]
+    unit: np.ndarray
+    units: Dict[str, np.ndarray]
+    capacity: Dict[str, np.ndarray]
+    energies: energy_model.StructureEnergies
+    overhead_per_cycle: np.ndarray
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.values[name]
 
 
 class IntervalSimulator:
@@ -134,9 +148,6 @@ class IntervalSimulator:
         lo, hi = self.space.feature_bounds()
         self._unit_lo = lo
         self._unit_span = hi - lo
-        # Per-profile invariants, keyed by object identity (the profile
-        # is kept referenced so the id stays valid).
-        self._profiles: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -173,11 +184,16 @@ class IntervalSimulator:
     ) -> List[BatchResult]:
         """Program-major 2-D evaluation: every profile over one batch.
 
-        The configuration columns (validation, raw values, unit-cube
-        coordinates) are built once and shared by all profiles, so a
-        whole suite costs one column build plus one model pass per
-        program.  Results are bit-identical to calling
-        :meth:`simulate_batch` per profile.
+        Each term of the model is evaluated once, at the level it
+        depends on.  One column build validates the batch and computes
+        everything that reads the configurations alone: raw values,
+        unit-cube coordinates, functional-unit counts, effective cache
+        capacities, per-access energies, and leakage plus clock energy
+        per cycle.  Terms that
+        read the program alone (the idiosyncrasies' seeded bump draws)
+        are cached per program across calls.  Each program's pass then
+        holds only the arithmetic that reads both.  Results are
+        bit-identical to calling :meth:`simulate_batch` per profile.
         """
         profiles = list(profiles)
         if not configs:
@@ -197,7 +213,7 @@ class IntervalSimulator:
     # Internals
     # ------------------------------------------------------------------
     def _batch_from_columns(
-        self, profile: WorkloadProfile, columns: Dict[str, np.ndarray]
+        self, profile: WorkloadProfile, columns: _Columns
     ) -> BatchResult:
         cycles, energy, _ = self._evaluate(profile, columns)
         metrics = derive_metrics(cycles, energy)
@@ -208,10 +224,8 @@ class IntervalSimulator:
             edd=metrics[Metric.EDD],
         )
 
-    def _columns(
-        self, configs: Sequence[Configuration]
-    ) -> Dict[str, np.ndarray]:
-        """Raw parameter columns plus unit-cube coordinates.
+    def _columns(self, configs: Sequence[Configuration]) -> _Columns:
+        """Validate a batch and evaluate its configuration-only terms.
 
         One vectorised pass: the raw value matrix is built from each
         configuration's canonical tuple, grid membership and the
@@ -219,9 +233,15 @@ class IntervalSimulator:
         error names the offending configuration index), and the feature
         encoding divides by the per-parameter divisors — exactly
         :meth:`Parameter.encode` without the per-config Python loops.
+        Every other term that reads the configurations alone is then
+        evaluated once for the whole batch (see :class:`_Columns`).
         """
-        raw = np.array([c.values() for c in configs], dtype=float)
-        raw = raw.reshape(len(configs), len(self._param_names))
+        raw = np.array([c.values() for c in configs])
+        if raw.dtype.kind not in "biuf":
+            # A value numpy cannot hold as a number (a string, None):
+            # find the first one off the grid by the rule validate uses.
+            self._scan_grid(configs)
+        raw = raw.astype(float).reshape(len(configs), len(self._param_names))
         # Batched grid validation, reported in canonical scan order
         # (lowest config index first, then parameter order).
         bad_config = None
@@ -232,24 +252,18 @@ class IntervalSimulator:
                 if bad_config is None or index < bad_config[0]:
                     bad_config = (index, j)
         if bad_config is not None:
-            index, j = bad_config
-            parameter = self.space.parameters[j]
-            value = getattr(configs[index], parameter.name)
-            raise ValueError(
-                f"config[{index}]: {parameter.name}={value} is off the "
-                f"grid {parameter.values}"
-            )
-        columns = {
+            self._refuse_off_grid(configs, *bad_config)
+        values = {
             name: raw[:, j] for j, name in enumerate(self._param_names)
         }
         legal = (
-            (columns["rob_size"] >= columns["iq_size"])
-            & (columns["rob_size"] >= columns["lsq_size"])
-            & (columns["rf_read_ports"] <= 2.0 * columns["width"])
-            & (columns["rf_write_ports"] <= columns["width"])
+            (values["rob_size"] >= values["iq_size"])
+            & (values["rob_size"] >= values["lsq_size"])
+            & (values["rf_read_ports"] <= 2.0 * values["width"])
+            & (values["rf_write_ports"] <= values["width"])
             & (
-                columns["l2cache_kb"]
-                >= 8.0 * np.maximum(columns["icache_kb"], columns["dcache_kb"])
+                values["l2cache_kb"]
+                >= 8.0 * np.maximum(values["icache_kb"], values["dcache_kb"])
             )
         )
         if not legal.all():
@@ -258,32 +272,58 @@ class IntervalSimulator:
                 f"config[{index}] violates legality constraints: "
                 f"{configs[index]}"
             )
-        columns["_unit"] = (raw / self._divisors - self._unit_lo) / self._unit_span
-        return columns
-
-    def _invariants(self, profile: WorkloadProfile) -> _ProfileInvariants:
-        """Cached config-independent per-profile quantities."""
-        cached = self._profiles.get(id(profile))
-        if cached is not None and cached[0] is profile:
-            return cached[1]
-        mix = profile.mix
-        e = energy_model
-        invariants = _ProfileInvariants(
-            instructions=float(profile.instructions),
-            alu_energy=(
-                mix.int_alu * e.ALU_ENERGY["int_alu"]
-                + mix.int_mul * e.ALU_ENERGY["int_mul"]
-                + mix.fp_alu * e.ALU_ENERGY["fp_alu"]
-                + mix.fp_mul * e.ALU_ENERGY["fp_mul"]
-            ),
+        fixed, e = self.fixed, energy_model
+        width = values["width"]
+        half = np.maximum(1.0, np.ceil(width / 2.0))
+        units = {
+            "int_alu": width,
+            "int_mul": half,
+            "fp_alu": half,
+            "fp_mul": np.maximum(1.0, np.ceil(width / 4.0)),
+            "dcache_ports": half,
+        }
+        area = e.core_area(values, units)
+        leakage = area * e.LEAKAGE_PER_AREA
+        clock = e.CLOCK_ENERGY_COEFF * np.sqrt(area) * width
+        return _Columns(
+            values=values,
+            unit=(raw / self._divisors - self._unit_lo) / self._unit_span,
+            units=units,
+            capacity={
+                "icache": effective_capacity(
+                    values["icache_kb"] * 1024.0, fixed.l1_associativity
+                ),
+                "dcache": effective_capacity(
+                    values["dcache_kb"] * 1024.0, fixed.l1_associativity
+                ),
+                "l2": effective_capacity(
+                    values["l2cache_kb"] * 1024.0, fixed.l2_associativity
+                ),
+            },
+            energies=e.structure_energies(values, fixed),
+            overhead_per_cycle=leakage + clock,
         )
-        if len(self._profiles) > 128:  # bound the cache
-            self._profiles.clear()
-        self._profiles[id(profile)] = (profile, invariants)
-        return invariants
+
+    def _scan_grid(self, configs: Sequence[Configuration]) -> None:
+        """Refuse the first value off its grid by
+        :meth:`DesignSpace.validate`'s rule, ``value in parameter.values``."""
+        for index, config in enumerate(configs):
+            for j, parameter in enumerate(self.space.parameters):
+                if getattr(config, parameter.name) not in parameter.values:
+                    self._refuse_off_grid(configs, index, j)
+
+    def _refuse_off_grid(
+        self, configs: Sequence[Configuration], index: int, j: int
+    ) -> NoReturn:
+        parameter = self.space.parameters[j]
+        value = getattr(configs[index], parameter.name)
+        raise ValueError(
+            f"config[{index}]: {parameter.name}={value!r} is off the "
+            f"grid {parameter.values}"
+        )
 
     def _effective_window(
-        self, profile: WorkloadProfile, columns: Dict[str, np.ndarray]
+        self, profile: WorkloadProfile, columns: _Columns
     ) -> np.ndarray:
         """Binding out-of-order window (instructions)."""
         mix = profile.mix
@@ -302,40 +342,33 @@ class IntervalSimulator:
         return np.maximum(window, 1.0)
 
     def _structural_ipc(
-        self, profile: WorkloadProfile, columns: Dict[str, np.ndarray]
+        self, profile: WorkloadProfile, columns: _Columns
     ) -> np.ndarray:
         """Width / ports / functional-unit issue-rate ceiling."""
         mix = profile.mix
         width = columns["width"]
+        units = columns.units
         port_limit = np.minimum(
             columns["rf_read_ports"] / profile.reads_per_instruction,
             columns["rf_write_ports"] / profile.dest_fraction,
         )
-        # Width-scaled functional units (Table 2b), vectorised.
-        int_alu = width
-        int_mul = np.maximum(1.0, np.ceil(width / 2.0))
-        fp_alu = np.maximum(1.0, np.ceil(width / 2.0))
-        fp_mul = np.maximum(1.0, np.ceil(width / 4.0))
-        dports = np.maximum(1.0, np.ceil(width / 2.0))
         fu_limit = np.full_like(width, np.inf)
         for count, fraction in (
-            (int_alu, mix.int_alu),
-            (int_mul, mix.int_mul),
-            (fp_alu, mix.fp_alu),
-            (fp_mul, mix.fp_mul),
-            (dports, mix.memory),
+            (units["int_alu"], mix.int_alu),
+            (units["int_mul"], mix.int_mul),
+            (units["fp_alu"], mix.fp_alu),
+            (units["fp_mul"], mix.fp_mul),
+            (units["dcache_ports"], mix.memory),
         ):
             if fraction > 1e-9:
                 fu_limit = np.minimum(fu_limit, count / fraction)
         return np.minimum(width, np.minimum(port_limit, fu_limit))
 
-    def _evaluate(
-        self, profile: WorkloadProfile, columns: Dict[str, np.ndarray]
-    ):
+    def _evaluate(self, profile: WorkloadProfile, columns: _Columns):
         """Core vectorised evaluation -> (cycles, energy, breakdown)."""
         fixed = self.fixed
         mix = profile.mix
-        instructions = self._invariants(profile).instructions
+        instructions = float(profile.instructions)
 
         window = self._effective_window(profile, columns)
         ipc_window = np.asarray(profile.ilp(window), dtype=float)
@@ -361,12 +394,9 @@ class IntervalSimulator:
         )
 
         # Instruction fetch -------------------------------------------------
-        imiss = hierarchy_miss_ratios(
-            profile.instruction_locality,
-            columns["icache_kb"] * 1024.0,
-            columns["l2cache_kb"] * 1024.0,
-            fixed.l1_associativity,
-            fixed.l2_associativity,
+        capacity = columns.capacity
+        imiss = effective_miss_ratios(
+            profile.instruction_locality, capacity["icache"], capacity["l2"]
         )
         fetches_per_instruction = 1.0 / _INSTRUCTIONS_PER_FETCH
         icache_penalty = fetches_per_instruction * (
@@ -375,12 +405,8 @@ class IntervalSimulator:
         )
 
         # Data memory ---------------------------------------------------------
-        dmiss = hierarchy_miss_ratios(
-            profile.data_locality,
-            columns["dcache_kb"] * 1024.0,
-            columns["l2cache_kb"] * 1024.0,
-            fixed.l1_associativity,
-            fixed.l2_associativity,
+        dmiss = effective_miss_ratios(
+            profile.data_locality, capacity["dcache"], capacity["l2"]
         )
         hide = np.exp(-window / profile.latency_hiding_scale)
         l2_hit_penalty = (
@@ -408,14 +434,15 @@ class IntervalSimulator:
             + memory_penalty
             + store_penalty
         )
-        perf_factor = profile.idiosyncrasy_performance.factor(columns["_unit"])
+        perf_factor = profile.idiosyncrasy_performance.factor(columns.unit)
         cycles = cpi * instructions * perf_factor
 
         # Energy -------------------------------------------------------------
         energy = self._energy(
-            profile, columns, cycles, ipc_base, resolve, branches, imiss, dmiss
+            profile, columns, instructions, cycles, ipc_base, resolve,
+            branches, imiss, dmiss,
         )
-        energy_factor = profile.idiosyncrasy_energy.factor(columns["_unit"])
+        energy_factor = profile.idiosyncrasy_energy.factor(columns.unit)
         energy = energy * energy_factor
 
         breakdown = {
@@ -435,7 +462,8 @@ class IntervalSimulator:
     def _energy(
         self,
         profile: WorkloadProfile,
-        columns: Dict[str, np.ndarray],
+        columns: _Columns,
+        instructions: float,
         cycles: np.ndarray,
         ipc_base: np.ndarray,
         resolve: np.ndarray,
@@ -443,42 +471,13 @@ class IntervalSimulator:
         imiss,
         dmiss,
     ) -> np.ndarray:
-        """Wattch-style energy: activity x per-access energy + overheads."""
-        fixed = self.fixed
-        mix = profile.mix
-        invariants = self._invariants(profile)
-        instructions = invariants.instructions
-        width = columns["width"]
-        rf_ports = columns["rf_read_ports"] + columns["rf_write_ports"]
+        """Wattch-style energy: activity x per-access energy + overheads.
 
-        # Per-access energies, vectorised over the batch.
-        e = energy_model
-        rob_read = e.array_read_energy(columns["rob_size"], 76, 2 * width)
-        rob_write = e.array_write_energy(columns["rob_size"], 76, 2 * width)
-        iq_write = e.array_write_energy(columns["iq_size"], 48, width)
-        iq_wakeup = e.cam_search_energy(columns["iq_size"], 10)
-        lsq_search = e.cam_search_energy(columns["lsq_size"], 40)
-        lsq_write = e.array_write_energy(columns["lsq_size"], 72, width)
-        rf_read = e.array_read_energy(columns["rf_size"], 64, rf_ports)
-        rf_write = e.array_write_energy(columns["rf_size"], 64, rf_ports)
-        gshare = e.array_read_energy(columns["gshare_size"], 2)
-        btb = e.array_read_energy(columns["btb_size"], 60)
-        icache = e.cache_access_energy(
-            columns["icache_kb"] * 1024.0,
-            fixed.l1_line_bytes,
-            fixed.l1_associativity,
-        )
-        dcache = e.cache_access_energy(
-            columns["dcache_kb"] * 1024.0,
-            fixed.l1_line_bytes,
-            fixed.l1_associativity,
-        )
-        l2 = e.cache_access_energy(
-            columns["l2cache_kb"] * 1024.0,
-            fixed.l2_line_bytes,
-            fixed.l2_associativity,
-        )
-        rename = e.array_read_energy(64, 8, 2 * width)
+        The per-access energies and the per-cycle overhead come from the
+        column build; only the activity counts read the program.
+        """
+        mix = profile.mix
+        e = columns.energies
 
         # Wrong-path inflation: speculatively fetched/renamed work that a
         # misprediction discards.
@@ -489,50 +488,28 @@ class IntervalSimulator:
         )
         spec = 1.0 + wasted
 
-        alu = invariants.alu_energy
+        alu_energy = energy_model.ALU_ENERGY
+        alu = (
+            mix.int_alu * alu_energy["int_alu"]
+            + mix.int_mul * alu_energy["int_mul"]
+            + mix.fp_alu * alu_energy["fp_alu"]
+            + mix.fp_mul * alu_energy["fp_mul"]
+        )
         per_instruction = (
-            (1.0 / _INSTRUCTIONS_PER_FETCH) * icache * spec
-            + mix.branch * (2.0 * gshare + btb) * spec
-            + rename * spec
-            + (rob_write + rob_read) * spec
-            + (iq_write + iq_wakeup) * spec
-            + profile.reads_per_instruction * rf_read * spec
-            + profile.dest_fraction * rf_write * spec
-            + mix.memory * (lsq_write + dcache) * spec
-            + mix.load * lsq_search * spec
+            (1.0 / _INSTRUCTIONS_PER_FETCH) * e.icache_access * spec
+            + mix.branch * (2.0 * e.gshare_access + e.btb_access) * spec
+            + e.rename_access * spec
+            + (e.rob_write + e.rob_read) * spec
+            + (e.iq_write + e.iq_wakeup) * spec
+            + profile.reads_per_instruction * e.rf_read * spec
+            + profile.dest_fraction * e.rf_write * spec
+            + mix.memory * (e.lsq_write + e.dcache_access) * spec
+            + mix.load * e.lsq_search * spec
             + alu * spec
-            + (imiss.l1 / _INSTRUCTIONS_PER_FETCH + mix.memory * dmiss.l1) * l2
+            + (imiss.l1 / _INSTRUCTIONS_PER_FETCH + mix.memory * dmiss.l1)
+            * e.l2_access
         )
-
-        # Area and static power.
-        alu_units = {
-            "int_alu": width,
-            "int_mul": np.maximum(1.0, np.ceil(width / 2.0)),
-            "fp_alu": np.maximum(1.0, np.ceil(width / 2.0)),
-            "fp_mul": np.maximum(1.0, np.ceil(width / 4.0)),
-        }
-        alu_area = 1.6e5 * (
-            alu_units["int_alu"]
-            + 2.0 * alu_units["int_mul"]
-            + 2.5 * alu_units["fp_alu"]
-            + 4.0 * alu_units["fp_mul"]
-        )
-        area = (
-            e.array_area(columns["rob_size"], 76, 2 * width)
-            + e.array_area(columns["iq_size"], 48, width)
-            + e.array_area(columns["lsq_size"], 72, width)
-            + 2.0 * e.array_area(columns["rf_size"], 64, rf_ports)
-            + e.array_area(columns["gshare_size"], 2)
-            + e.array_area(columns["btb_size"], 60)
-            + e.cache_area(columns["icache_kb"] * 1024.0)
-            + e.cache_area(columns["dcache_kb"] * 1024.0)
-            + e.cache_area(columns["l2cache_kb"] * 1024.0)
-            + alu_area
-        )
-        leakage = area * e.LEAKAGE_PER_AREA
-        clock = e.CLOCK_ENERGY_COEFF * np.sqrt(area) * width
-
-        return instructions * per_instruction + cycles * (leakage + clock)
+        return instructions * per_instruction + cycles * columns.overhead_per_cycle
 
 
 def simulate(

@@ -34,7 +34,7 @@ from repro.workloads.profile import WorkloadProfile
 from .branch import branch_penalties
 from .caches import hierarchy_miss_ratios
 from .interval import IntervalSimulator
-from .machine import FixedParameters, functional_units
+from .machine import FixedParameters
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,8 @@ class MonteCarloSimulator:
         # cycle count (leakage + clock scale with cycles; dynamic energy
         # is activity-driven and shared).
         reference = self._interval.simulate(profile, config)
-        leakage_share = self._leakage_energy(profile, config, reference)
+        per_cycle = float(self._interval._columns([config]).overhead_per_cycle[0])
+        leakage_share = per_cycle * reference.cycles
         dynamic = reference.energy - leakage_share
         energy = dynamic + leakage_share * (cycles / reference.cycles)
         return MonteCarloResult(
@@ -117,31 +118,6 @@ class MonteCarloSimulator:
             cycles_std=cycles_std,
             replications=self.replications,
         )
-
-    def _leakage_energy(self, profile, config, reference) -> float:
-        """Leakage+clock portion of the interval model's energy."""
-        columns = self._interval._columns([config])
-        e = __import__("repro.sim.energy", fromlist=["energy"])
-        width = columns["width"]
-        rf_ports = columns["rf_read_ports"] + columns["rf_write_ports"]
-        area = (
-            e.array_area(columns["rob_size"], 76, 2 * width)
-            + e.array_area(columns["iq_size"], 48, width)
-            + e.array_area(columns["lsq_size"], 72, width)
-            + 2.0 * e.array_area(columns["rf_size"], 64, rf_ports)
-            + e.array_area(columns["gshare_size"], 2)
-            + e.array_area(columns["btb_size"], 60)
-            + e.cache_area(columns["icache_kb"] * 1024.0)
-            + e.cache_area(columns["dcache_kb"] * 1024.0)
-            + e.cache_area(columns["l2cache_kb"] * 1024.0)
-        )
-        per_cycle = float(
-            np.asarray(
-                area * e.LEAKAGE_PER_AREA
-                + e.CLOCK_ENERGY_COEFF * np.sqrt(area) * width
-            ).reshape(-1)[0]
-        )
-        return per_cycle * reference.cycles
 
     # ------------------------------------------------------------------
     def _one_window(

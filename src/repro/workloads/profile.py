@@ -20,6 +20,7 @@ are not.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, Sequence, Tuple
@@ -205,17 +206,11 @@ class Idiosyncrasy:
         Each bump responds to a random subset of the parameters (real
         program quirks are interactions of a few parameters, not all
         thirteen); restricting the distance to that subset keeps the
-        gaussians from vanishing in high dimension.
+        gaussians from vanishing in high dimension.  The draws are
+        cached by what they depend on, so profiles rebuilt from JSON
+        and fresh simulators reuse them.
         """
-        rng = np.random.default_rng(self.seed)
-        centres = rng.uniform(0.0, 1.0, size=(self.bumps, dims))
-        signs = rng.choice((-1.0, 1.0), size=self.bumps)
-        active = min(self.active_dimensions, dims)
-        masks = np.zeros((self.bumps, dims))
-        for bump in range(self.bumps):
-            chosen = rng.choice(dims, size=active, replace=False)
-            masks[bump, chosen] = 1.0
-        return centres, signs, masks
+        return _bump_draws(self.seed, self.bumps, self.active_dimensions, dims)
 
     def factor(self, unit_features: np.ndarray) -> np.ndarray:
         """Multiplicative factor for configurations in unit coordinates.
@@ -238,6 +233,25 @@ class Idiosyncrasy:
         phi = np.sum(signs * np.exp(-sq / (2.0 * self.width**2)), axis=1)
         phi = np.tanh(phi)  # keep within [-1, 1]
         return 1.0 + self.amplitude * phi
+
+
+@functools.lru_cache(maxsize=512)
+def _bump_draws(
+    seed: int, bumps: int, active_dimensions: int, dims: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded bump draws of :meth:`Idiosyncrasy._bump_parameters`,
+    returned read-only because every caller shares them."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 1.0, size=(bumps, dims))
+    signs = rng.choice((-1.0, 1.0), size=bumps)
+    active = min(active_dimensions, dims)
+    masks = np.zeros((bumps, dims))
+    for bump in range(bumps):
+        chosen = rng.choice(dims, size=active, replace=False)
+        masks[bump, chosen] = 1.0
+    for array in (centres, signs, masks):
+        array.flags.writeable = False
+    return centres, signs, masks
 
 
 def stable_seed(*parts: str) -> int:

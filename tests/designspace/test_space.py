@@ -83,6 +83,14 @@ class TestConstraints:
         with pytest.raises(ValueError, match="rob_size"):
             space.validate(config)
 
+    def test_validate_shows_a_string_value_as_a_string(self, space):
+        with pytest.raises(ValueError) as refused:
+            space.validate(space.baseline.replace(width="4"))
+        assert str(refused.value) == "width='4' is off the grid (2, 4, 6, 8)"
+        with pytest.raises(ValueError) as refused:
+            space.validate(space.baseline.replace(width=5))
+        assert str(refused.value) == "width=5 is off the grid (2, 4, 6, 8)"
+
     def test_validate_accepts_baseline(self, space):
         space.validate(space.baseline)  # must not raise
 

@@ -18,6 +18,25 @@ class TestGitSha:
         # the test runs from a git checkout of the repository
         assert sha is None or (len(sha) == 40 and set(sha) <= set("0123456789abcdef"))
 
+    def test_resolved_once_per_process(self, monkeypatch):
+        import subprocess
+
+        calls = []
+        run = subprocess.run
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counted)
+        git_sha.cache_clear()
+        try:
+            first = git_sha()
+            assert git_sha() == first
+            assert len(calls) == 1
+        finally:
+            git_sha.cache_clear()
+
 
 class TestBuildManifest:
     def test_core_fields(self):

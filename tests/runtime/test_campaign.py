@@ -504,6 +504,28 @@ class TestInterruptedManifest:
         )
         assert manifest["run"]["status"] == "complete"
 
+    def test_configuration_checksum_computed_once_per_run(
+        self, backend, tiny_suite, tiny_configs, tmp_path, monkeypatch
+    ):
+        import json
+
+        calls = []
+        checksum = CampaignRunner._config_checksum
+
+        def counted(self, configs):
+            calls.append(len(configs))
+            return checksum(self, configs)
+
+        monkeypatch.setattr(CampaignRunner, "_config_checksum", counted)
+        runner = CampaignRunner(backend, tmp_path / "once", chunk_size=16)
+        runner.run(tiny_suite, tiny_configs)
+        assert calls == [len(tiny_configs)]
+        runner.run(tiny_suite, tiny_configs, resume=True)
+        assert calls == [len(tiny_configs)] * 2
+        run = json.loads(runner.run_manifest_path.read_text(encoding="utf-8"))
+        checkpoint = json.loads(runner.manifest_path.read_text(encoding="utf-8"))
+        assert run["config_checksum"] == checkpoint["configs_checksum"]
+
     def test_interrupted_checkpoint_resumes_cleanly(
         self, backend, tiny_suite, tiny_configs, tmp_path, clean_result
     ):

@@ -39,8 +39,8 @@ class TestBasics:
         batch = sim.simulate_batch(profile, subset)
         for i, config in enumerate(subset):
             single = sim.simulate(profile, config)
-            assert batch.cycles[i] == pytest.approx(single.cycles)
-            assert batch.energy[i] == pytest.approx(single.energy)
+            assert batch.cycles[i] == single.cycles
+            assert batch.energy[i] == single.energy
 
     def test_empty_batch(self, sim):
         batch = sim.simulate_batch(spec2000_profile("gzip"), [])
@@ -50,6 +50,56 @@ class TestBasics:
         config = baseline.replace(rob_size=32, iq_size=80)
         with pytest.raises(ValueError):
             sim.simulate(spec2000_profile("gzip"), config)
+
+    def test_string_value_rejected_like_validate(self, sim, baseline):
+        config = baseline.replace(width="4")
+        with pytest.raises(ValueError) as refused:
+            sim.simulate(spec2000_profile("gzip"), config)
+        assert str(refused.value) == (
+            "config[0]: width='4' is off the grid (2, 4, 6, 8)"
+        )
+        with pytest.raises(ValueError, match="width='4'"):
+            sim.space.validate(config)
+
+    def test_first_off_grid_value_by_index_then_parameter(
+        self, sim, baseline
+    ):
+        rows = [baseline] * 6
+        rows[2] = baseline.replace(l2cache_kb=3000)
+        rows[3] = baseline.replace(rob_size=100, l2cache_kb=3000)
+        rows[4] = baseline.replace(width=5)
+        with pytest.raises(ValueError) as refused:
+            sim.simulate_batch(spec2000_profile("gzip"), rows)
+        assert str(refused.value) == (
+            "config[2]: l2cache_kb=3000 is off the grid "
+            "(256, 512, 1024, 2048, 4096)"
+        )
+        with pytest.raises(ValueError) as refused:
+            sim.simulate_batch(spec2000_profile("gzip"), rows[3:])
+        assert str(refused.value).startswith(
+            "config[0]: rob_size=100 is off the grid (32, 40,"
+        )
+
+    def test_non_numeric_value_reported_in_scan_order(self, sim, baseline):
+        gzip = spec2000_profile("gzip")
+        numeric = baseline.replace(width=5)
+        text = baseline.replace(iq_size="16")
+        with pytest.raises(ValueError, match=r"^config\[1\]: width=5 "):
+            sim.simulate_batch(gzip, [baseline, numeric, text])
+        with pytest.raises(ValueError, match=r"^config\[1\]: iq_size='16' "):
+            sim.simulate_batch(gzip, [baseline, text, numeric])
+        with pytest.raises(ValueError, match=r"^config\[0\]: rob_size=None "):
+            sim.simulate_suite([gzip], [baseline.replace(rob_size=None)])
+
+    def test_illegal_configuration_message(self, sim, baseline):
+        config = baseline.replace(rob_size=32, iq_size=80)
+        with pytest.raises(ValueError) as refused:
+            sim.simulate_suite(
+                [spec2000_profile("gzip")], [baseline, baseline, config]
+            )
+        assert str(refused.value) == (
+            f"config[2] violates legality constraints: {config}"
+        )
 
     def test_deterministic(self, sim, baseline):
         profile = spec2000_profile("gzip")

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.sim import IntervalSimulator, MonteCarloSimulator
+from repro.sim import (
+    EnergyModel,
+    IntervalSimulator,
+    MachineSpec,
+    MonteCarloSimulator,
+)
 from repro.sim.montecarlo import noisy_responses
 from repro.workloads import spec2000_profile
 
@@ -67,6 +72,39 @@ class TestEstimates:
             MonteCarloSimulator(space, window_instructions=5)
         with pytest.raises(ValueError):
             MonteCarloSimulator(space, replications=0)
+
+
+class TestEnergyAccounting:
+    """Monte Carlo rescales the interval model's leakage + clock energy
+    by its own cycle estimate, so the energy it adds per extra cycle is
+    the machine's whole per-cycle overhead, ALUs included."""
+
+    @pytest.fixture(scope="class")
+    def machines(self, space, configs):
+        return [space.baseline] + list(configs[:4])
+
+    def test_per_cycle_share_is_the_energy_models(self, mc, space, machines):
+        profile = spec2000_profile("gzip")
+        interval = IntervalSimulator(space)
+        for config in machines:
+            model = EnergyModel(MachineSpec(config))
+            per_cycle = model.leakage_power + model.clock_energy_per_cycle
+            reference = interval.simulate(profile, config)
+            result = mc.simulate(profile, config, seed=11)
+            share = (result.energy - reference.energy) / (
+                result.cycles - reference.cycles
+            )
+            assert share == pytest.approx(per_cycle, rel=1e-9)
+
+    def test_column_build_term_equals_the_energy_models_exactly(
+        self, space, machines
+    ):
+        overhead = IntervalSimulator(space)._columns(machines).overhead_per_cycle
+        for i, config in enumerate(machines):
+            model = EnergyModel(MachineSpec(config))
+            assert overhead[i] == (
+                model.leakage_power + model.clock_energy_per_cycle
+            )
 
 
 class TestQualitativeAgreement:

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.designspace.configuration import Configuration
 from repro.designspace.space import DesignSpace
-from repro.ml.mlp import MultilayerPerceptron
+from repro.ml.mlp import MLPTrainingRecord, MultilayerPerceptron
 from repro.sim.metrics import Metric
 
 
@@ -98,6 +98,11 @@ class ProgramSpecificPredictor:
         self._trained = True
         self.training_size_ = features.shape[0]
         return self
+
+    @property
+    def training_record(self) -> Optional[MLPTrainingRecord]:
+        """The network's last training record (``None`` before a fit)."""
+        return self._network.training_record_
 
     def predict(self, configs: Sequence[Configuration]) -> np.ndarray:
         """Predict the metric for a batch of configurations."""

@@ -150,8 +150,12 @@ class TrainingPool:
             "train.fit", program=program, samples=int(features.shape[0])
         ) as fit_span:
             fitted = predictor.fit_prepared(features, targets)
+            epochs = fitted.training_record.epochs_run
+            if fit_span is not None:
+                fit_span["attrs"]["epochs"] = epochs
         registry = get_registry()
         registry.counter("train.models").inc()
+        registry.counter("train.epochs").inc(epochs)
         if fit_span is not None:
             registry.histogram("train.fit.seconds").observe(fit_span["dur"])
             _log.debug(
@@ -193,11 +197,13 @@ class TrainingPool:
                     training_record=MLPTrainingRecord(*record),
                 )
                 self._models[name] = predictor
+                epochs = predictor.training_record.epochs_run
                 registry.counter("train.models").inc()
+                registry.counter("train.epochs").inc(epochs)
                 registry.histogram("train.fit.seconds").observe(fit_seconds)
                 get_tracer().record(
                     "train.fit", fit_seconds, program=name, worker=True,
-                    samples=int(prepared[name][1].shape[0]),
+                    samples=int(prepared[name][1].shape[0]), epochs=epochs,
                 )
 
     def train_all(self, n_jobs: Optional[int] = None) -> "TrainingPool":

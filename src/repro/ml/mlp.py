@@ -42,20 +42,12 @@ class MLPTrainingRecord:
     final_training_loss: float
 
 
-class _Adam:
-    """Adam state for one parameter tensor."""
-
-    def __init__(self, shape) -> None:
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-
-    def step(self, gradient: np.ndarray, learning_rate: float, t: int) -> np.ndarray:
-        """Return the parameter update for this gradient."""
-        self.m = _BETA1 * self.m + (1.0 - _BETA1) * gradient
-        self.v = _BETA2 * self.v + (1.0 - _BETA2) * gradient * gradient
-        m_hat = self.m / (1.0 - _BETA1**t)
-        v_hat = self.v / (1.0 - _BETA2**t)
-        return -learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
+def _views(flat: np.ndarray, input_dim: int, hidden: int) -> tuple:
+    """(w_hidden, b_hidden, w_output, 0-d b_output) views into ``flat``."""
+    edges = np.cumsum([input_dim * hidden, hidden, hidden])
+    w_hidden, b_hidden, w_output, b_output = np.split(flat, edges)
+    return (w_hidden.reshape(input_dim, hidden), b_hidden, w_output,
+            b_output[0, ...])
 
 
 class MultilayerPerceptron:
@@ -113,13 +105,25 @@ class MultilayerPerceptron:
     def fit(
         self, features: np.ndarray, targets: np.ndarray
     ) -> "MultilayerPerceptron":
-        """Train the network on raw (features, targets)."""
+        """Train the network on raw (features, targets).
+
+        The four parameter tensors (and their gradients) are views into
+        one flat vector, so one in-place Adam step updates them all.
+        """
         features = np.atleast_2d(np.asarray(features, dtype=float))
         targets = np.asarray(targets, dtype=float).reshape(-1)
         if features.shape[0] != targets.shape[0]:
             raise ValueError("features and targets disagree on sample count")
         if features.shape[0] < 2:
             raise ValueError("training needs at least two samples")
+        bad = np.count_nonzero(~np.isfinite(features)) + np.count_nonzero(
+            ~np.isfinite(targets)
+        )
+        if bad:
+            raise ValueError(
+                f"{bad} training value(s) are NaN/Inf; refusing to fit on "
+                "non-finite features or targets"
+            )
 
         rng = np.random.default_rng(self.seed)
         x = self._x_scaler.fit_transform(features)
@@ -134,62 +138,70 @@ class MultilayerPerceptron:
             x_val, y_val = x[order[:validation_count]], y[order[:validation_count]]
             x_train, y_train = x[order[validation_count:]], y[order[validation_count:]]
         else:
-            x_val = y_val = None
             x_train, y_train = x[order], y[order]
 
         input_dim = x.shape[1]
         hidden = self.hidden_neurons
+        params = np.zeros(input_dim * hidden + 2 * hidden + 1)
+        grads = np.empty_like(params)
+        w_hidden, b_hidden, w_output, b_output = _views(params, input_dim, hidden)
+        g_w_hidden, g_b_hidden, g_w_output, g_b_output = _views(
+            grads, input_dim, hidden
+        )
         limit_hidden = np.sqrt(6.0 / (input_dim + hidden))
         limit_output = np.sqrt(6.0 / (hidden + 1))
-        w_hidden = rng.uniform(-limit_hidden, limit_hidden, (input_dim, hidden))
-        b_hidden = np.zeros(hidden)
-        w_output = rng.uniform(-limit_output, limit_output, hidden)
-        b_output = 0.0
+        w_hidden[...] = rng.uniform(-limit_hidden, limit_hidden, (input_dim, hidden))
+        w_output[...] = rng.uniform(-limit_output, limit_output, hidden)
 
-        adam_w_hidden = _Adam(w_hidden.shape)
-        adam_b_hidden = _Adam(b_hidden.shape)
-        adam_w_output = _Adam(w_output.shape)
-        adam_b_output = _Adam(())
-
-        best = {
-            "loss": np.inf,
-            "epoch": 0,
-            "w_hidden": w_hidden.copy(),
-            "b_hidden": b_hidden.copy(),
-            "w_output": w_output.copy(),
-            "b_output": b_output,
-        }
-        stall = 0
+        # Adam moments and step buffers, plus the epoch's temporaries.
+        moment1, moment2 = np.zeros_like(params), np.zeros_like(params)
+        step, denominator = np.empty_like(params), np.empty_like(params)
         n = x_train.shape[0]
-        training_loss = np.inf
-        epoch = 0
+        hidden_act, slope = np.empty((n, hidden)), np.empty((n, hidden))
+        grad_hidden = np.empty((n, hidden))
+        error, grad_output = np.empty(n), np.empty(n)
+        grad_column = grad_output[:, None]
+
+        best_params, best_loss, best_epoch = params.copy(), np.inf, 0
+        stall = epoch = 0
         for epoch in range(1, self.epochs + 1):
             # Forward pass.
-            hidden_act = np.tanh(x_train @ w_hidden + b_hidden)
-            prediction = hidden_act @ w_output + b_output
-            error = prediction - y_train
-            training_loss = float(np.mean(error**2))
+            np.matmul(x_train, w_hidden, out=hidden_act)
+            hidden_act += b_hidden
+            np.tanh(hidden_act, out=hidden_act)
+            np.matmul(hidden_act, w_output, out=error)
+            error += b_output
+            error -= y_train
 
             # Backward pass (mean-squared-error gradients).
-            grad_output = 2.0 * error / n
-            g_w_output = hidden_act.T @ grad_output
-            g_b_output = float(np.sum(grad_output))
-            grad_hidden = np.outer(grad_output, w_output) * (1.0 - hidden_act**2)
-            g_w_hidden = x_train.T @ grad_hidden
-            g_b_hidden = grad_hidden.sum(axis=0)
+            np.multiply(2.0, error, out=grad_output)
+            grad_output /= n
+            np.matmul(hidden_act.T, grad_output, out=g_w_output)
+            np.add.reduce(grad_output, out=g_b_output)
+            np.multiply(grad_column, w_output, out=grad_hidden)
+            np.multiply(hidden_act, hidden_act, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            grad_hidden *= slope
+            np.matmul(x_train.T, grad_hidden, out=g_w_hidden)
+            np.add.reduce(grad_hidden, axis=0, out=g_b_hidden)
 
-            w_hidden = w_hidden + adam_w_hidden.step(
-                g_w_hidden, self.learning_rate, epoch
-            )
-            b_hidden = b_hidden + adam_b_hidden.step(
-                g_b_hidden, self.learning_rate, epoch
-            )
-            w_output = w_output + adam_w_output.step(
-                g_w_output, self.learning_rate, epoch
-            )
-            b_output = b_output + float(
-                adam_b_output.step(np.asarray(g_b_output), self.learning_rate, epoch)
-            )
+            # Adam over every parameter at once.  Each line keeps the operand
+            # order of m = β1·m + (1 − β1)·g, v = β2·v + ((1 − β2)·g)·g and
+            # Δ = ((−lr)·m̂) / (√v̂ + ε), so the bits match a per-tensor step.
+            moment1 *= _BETA1
+            np.multiply(1.0 - _BETA1, grads, out=step)
+            moment1 += step
+            moment2 *= _BETA2
+            np.multiply(1.0 - _BETA2, grads, out=step)
+            step *= grads
+            moment2 += step
+            np.divide(moment1, 1.0 - _BETA1**epoch, out=step)
+            step *= -self.learning_rate
+            np.divide(moment2, 1.0 - _BETA2**epoch, out=denominator)
+            np.sqrt(denominator, out=denominator)
+            denominator += _EPS
+            step /= denominator
+            params += step
 
             # Periodic early-stopping check on the validation split.
             if use_validation and epoch % _VALIDATION_STRIDE == 0:
@@ -197,35 +209,21 @@ class MultilayerPerceptron:
                     np.tanh(x_val @ w_hidden + b_hidden) @ w_output + b_output
                 )
                 val_loss = float(np.mean((val_prediction - y_val) ** 2))
-                if val_loss < best["loss"] - 1e-10:
-                    best.update(
-                        loss=val_loss,
-                        epoch=epoch,
-                        w_hidden=w_hidden.copy(),
-                        b_hidden=b_hidden.copy(),
-                        w_output=w_output.copy(),
-                        b_output=b_output,
-                    )
+                if val_loss < best_loss - 1e-10:
+                    best_params, best_loss, best_epoch = params.copy(), val_loss, epoch
                     stall = 0
                 else:
                     stall += 1
                     if stall >= self.patience:
                         break
 
-        if use_validation:
-            self._hidden_weights = best["w_hidden"]
-            self._hidden_bias = best["b_hidden"]
-            self._output_weights = best["w_output"]
-            self._output_bias = float(best["b_output"])
-            best_loss = float(best["loss"])
-            best_epoch = int(best["epoch"])
-        else:
-            self._hidden_weights = w_hidden
-            self._hidden_bias = b_hidden
-            self._output_weights = w_output
-            self._output_bias = float(b_output)
-            best_loss = training_loss
-            best_epoch = epoch
+        # Only the last epoch's loss is reported, so only it is computed.
+        training_loss = float(np.mean(error**2))
+        if not use_validation:
+            best_params, best_loss, best_epoch = params, training_loss, epoch
+        (self._hidden_weights, self._hidden_bias, self._output_weights,
+         output_bias) = _views(best_params, input_dim, hidden)
+        self._output_bias = float(output_bias)
         self.training_record_ = MLPTrainingRecord(
             epochs_run=epoch,
             best_epoch=best_epoch,

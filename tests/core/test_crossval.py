@@ -1,5 +1,7 @@
-"""Tests for the cross-validation harnesses (at reduced scale)."""
+"""Tests for the cross-validation harnesses (at reduced scale, plus one
+leave-one-out guard at the paper's scale)."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -10,6 +12,7 @@ from repro.core import (
 )
 from repro.exploration import DesignSpaceDataset
 from repro.sim import Metric
+from repro.workloads import spec2000_suite
 
 
 class TestEvaluateOnProgram:
@@ -64,6 +67,38 @@ class TestLeaveOneOut:
             responses=16, repeats=1, programs=["gzip"],
         )
         assert set(result.summaries) == {"gzip"}
+
+
+class TestFig11Guard:
+    """Leave-one-out on all 26 SPEC programs at the paper's scale: 3,000
+    sampled configurations, T = 512 training simulations per program
+    and R = 32 responses for the left-out one (fig. 11)."""
+
+    #: Exact (mean rmae %, mean correlation) per seed, recorded with
+    #: numpy 2.4.6 on OpenBLAS 0.3.31.  BLAS kernels differ across CPUs
+    #: and numpy builds, and CI installs whatever numpy pip resolves, so
+    #: the exact pair is asserted only under the recorded numpy version;
+    #: the band holds everywhere.
+    RECORDED_NUMPY = "2.4.6"
+    EXACT = {
+        2007: (8.241904658055915, 0.9242415672718197),
+        11: (7.8359371640831075, 0.9318034465729904),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(EXACT))
+    def test_paper_scale_accuracy(self, seed):
+        dataset = DesignSpaceDataset.sampled(spec2000_suite(), 3000, seed=seed)
+        result = leave_one_out(
+            dataset, Metric.CYCLES, training_size=512, responses=32,
+            repeats=1, seed=seed,
+        )
+        # The benchmark's fig. 11 guard (the paper reports ~7% / 0.95).
+        assert result.mean_rmae <= 9.0
+        assert result.mean_correlation >= 0.91
+        # art is the suite's outlier (Section 7.2).
+        assert result.program("art").mean_rmae > result.mean_rmae
+        if np.__version__ == self.RECORDED_NUMPY:
+            assert (result.mean_rmae, result.mean_correlation) == self.EXACT[seed]
 
 
 class TestCrossSuite:

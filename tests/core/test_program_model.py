@@ -94,6 +94,21 @@ class TestValidation:
                 np.array([1.0, -2.0]),
             )
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_value_rejected(self, small_dataset, bad):
+        """One inf (or NaN) value used to train a model predicting 1e30
+        (or NaN) everywhere; the fit now refuses and counts it."""
+        idx, _ = small_dataset.split_indices(64, seed=4)
+        values = small_dataset.subset_values("gzip", Metric.CYCLES, idx).copy()
+        values[10] = bad
+        predictor = ProgramSpecificPredictor(
+            small_dataset.simulator.space, Metric.CYCLES, "gzip", seed=1
+        )
+        with pytest.raises(ValueError, match="1 training value.*NaN/Inf"):
+            predictor.fit(small_dataset.subset_configs(idx), values)
+        with pytest.raises(RuntimeError, match="not been trained"):
+            predictor.predict(small_dataset.subset_configs(idx[:2]))
+
     def test_raw_target_mode(self, small_dataset):
         idx, _ = small_dataset.split_indices(128, seed=4)
         predictor = ProgramSpecificPredictor(

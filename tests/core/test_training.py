@@ -112,6 +112,27 @@ class TestParallelTraining:
             b = parallel.model(program)._network.training_record_
             assert a == b
 
+    def test_fit_spans_and_counter_report_epochs(self, small_dataset):
+        """Serial and pooled fits tag each ``train.fit`` span with the
+        fit's epoch count and add it to the ``train.epochs`` counter."""
+        from repro.obs import scoped_registry, scoped_tracer
+
+        seen = []
+        for jobs in (1, 2):
+            with scoped_registry() as registry, scoped_tracer() as tracer:
+                pool = TrainingPool(small_dataset, Metric.CYCLES,
+                                    training_size=64, seed=3,
+                                    n_jobs=jobs).train_all()
+            epochs = {s["attrs"]["program"]: s["attrs"]["epochs"]
+                      for s in tracer.spans if s["name"] == "train.fit"}
+            assert epochs == {
+                name: pool.model(name).training_record.epochs_run
+                for name in small_dataset.programs
+            }
+            assert registry.value("train.epochs") == sum(epochs.values())
+            seen.append(epochs)
+        assert seen[0] == seen[1]
+
     def test_invalid_n_jobs_rejected(self, small_dataset):
         for bad in (0, -2):
             with pytest.raises(ValueError, match="n_jobs"):

@@ -54,7 +54,7 @@ class TestDeterminismAndRecords:
         x, y = _nonlinear_data(n=120, seed=5)
         a = MultilayerPerceptron(seed=11, epochs=300).fit(x, y).predict(x)
         b = MultilayerPerceptron(seed=11, epochs=300).fit(x, y).predict(x)
-        assert np.allclose(a, b)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         x, y = _nonlinear_data(n=120, seed=5)
@@ -84,6 +84,20 @@ class TestValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MultilayerPerceptron().fit(np.ones((3, 2)), np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        x, y = _nonlinear_data(n=40, seed=9)
+        y[7] = bad
+        with pytest.raises(ValueError, match="1 training value"):
+            MultilayerPerceptron(seed=0, epochs=5).fit(x, y)
+
+    def test_non_finite_features_counted(self):
+        x, y = _nonlinear_data(n=40, seed=9)
+        x[3, 0] = np.nan
+        x[5, 1] = np.inf
+        with pytest.raises(ValueError, match="2 training value"):
+            MultilayerPerceptron(seed=0, epochs=5).fit(x, y)
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):

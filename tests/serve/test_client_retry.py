@@ -79,13 +79,15 @@ class _OneShotServer:
                 except OSError:
                     continue
                 body = json.dumps({"status": "ok"}).encode("utf-8")
+                # Count before replying: once the client holds the
+                # response, the count must already include it.
+                self.served += 1
                 connection.sendall(
                     b"HTTP/1.1 200 OK\r\n"
                     b"Content-Type: application/json\r\n"
                     + f"Content-Length: {len(body)}\r\n".encode()
                     + b"Connection: keep-alive\r\n\r\n" + body
                 )
-                self.served += 1
                 # Closing here leaves the client holding a stale
                 # keep-alive connection.
 

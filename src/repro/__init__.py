@@ -36,8 +36,9 @@ The subpackages:
 * :mod:`repro.search` — closed-loop design-space search: gym-style
   environment, seeded agents, Pareto frontiers and hypervolume.
 * :mod:`repro.runtime` — fault-tolerant, resumable campaign execution.
-* :mod:`repro.distrib` — coordinator/worker campaigns across hosts.
-* :mod:`repro.obs` — logging, metrics, tracing and run manifests.
+* :mod:`repro.serve` — model registry and batched HTTP prediction server.
+* :mod:`repro.load` — seeded open-loop load generation for the server.
+* :mod:`repro.obs` — logging, metrics, tracing, SLOs and run manifests.
 """
 
 from repro.core import (

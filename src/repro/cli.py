@@ -24,17 +24,9 @@ Lets a user poke the reproduction without writing code:
 * ``load --plan FILE --target HOST:PORT`` — replay a seeded open-loop
   load plan against a running server and report per-stage latency,
   goodput and shed counts (``--slo`` gates the run on objectives).
-* ``coordinator --checkpoint-dir DIR`` / ``worker --connect HOST:PORT``
-  — shard a campaign across hosts: the coordinator owns the journal and
-  hands out leased chunks, workers simulate them.  ``simulate`` and
-  ``explore`` accept ``--distributed HOST:PORT`` to serve their own
-  campaign the same way.
-* ``status HOST:HTTP_PORT`` — read-only snapshot of a running
-  coordinator (its ``--http-port`` ``/status``): progress, fleet
-  roster, lease table, steal/reclaim counters.
-* ``chaos --plan FILE --checkpoint-dir DIR`` — replay a seeded fault
-  plan (kills, partitions, slowdowns, restarts) against an in-process
-  fleet and verify the journal stays bit-identical to a serial run.
+* ``slo check --objectives FILE --metrics FILE`` — evaluate declarative
+  objectives against a Prometheus export (a ``--metrics-out`` file):
+  exit 0 when all hold, 1 on a violation, 2 on an unreadable input.
 
 Every command accepts ``--samples`` and ``--seed`` to control scale and
 reproducibility.  The compute-heavy commands (``simulate``,
@@ -313,79 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _telemetry_options(load)
 
-    coordinator = sub.add_parser(
-        "coordinator",
-        help="serve a simulation campaign to remote 'repro worker' "
-        "processes (SIGTERM drains gracefully)",
-    )
-    _common(coordinator)
-    _checkpoint_options(coordinator, distributed=False)
-    _telemetry_options(coordinator)
-    coordinator.add_argument("--host", default="127.0.0.1",
-                             help="bind address (0.0.0.0 for remote "
-                             "workers)")
-    coordinator.add_argument("--port", type=int, default=7600,
-                             help="bind port (0 picks a free one)")
-    coordinator.add_argument(
-        "--program", default=None,
-        help="campaign over one program instead of a whole suite",
-    )
-    coordinator.add_argument(
-        "--suite", default="spec2000", choices=("spec2000", "mibench"),
-        help="suite to simulate when --program is not given",
-    )
-    coordinator.add_argument(
-        "--lease-timeout", type=float, default=60.0,
-        help="seconds a worker may hold a chunk without heartbeating "
-        "before it is reclaimed",
-    )
-    coordinator.add_argument(
-        "--min-workers", type=int, default=0,
-        help="hold task hand-out until this many workers connected",
-    )
-    coordinator.add_argument(
-        "--http-port", type=int, default=None, metavar="PORT",
-        help="also serve read-only /metrics, /healthz and /status over "
-        "HTTP on this port (0 picks a free one)",
-    )
-    coordinator.add_argument(
-        "--slo", default=None, metavar="FILE", dest="slo_config",
-        help="SLO objectives JSON, evaluated live against the "
-        "campaign's time series (see docs/observability.md)",
-    )
-    coordinator.add_argument(
-        "--sample-interval", type=float, default=1.0,
-        help="seconds between time-series samples feeding the status "
-        "series and SLO burn rates",
-    )
-
-    top = sub.add_parser(
-        "top",
-        help="live fleet dashboard over a running coordinator "
-        "(read-only; never counts as a worker)",
-    )
-    top.add_argument(
-        "address", metavar="HOST:PORT", type=_host_port_arg,
-        help="the coordinator's --http-port address",
-    )
-    top.add_argument(
-        "--interval", type=float, default=1.0,
-        help="seconds between refreshes",
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="render one plain-text frame and exit (CI/scripting mode)",
-    )
-    top.add_argument(
-        "--frames", type=int, default=None,
-        help="exit after this many live refreshes (default: until the "
-        "coordinator goes away or Ctrl-C)",
-    )
-    top.add_argument(
-        "--timeout", type=float, default=5.0,
-        help="seconds to wait for each snapshot",
-    )
-
     slo = sub.add_parser(
         "slo",
         help="evaluate declarative SLOs; 'slo check' exits non-zero on "
@@ -398,121 +317,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="SLO objectives JSON",
     )
     slo.add_argument(
-        "--metrics", default=None, metavar="FILE",
-        help="evaluate against a Prometheus text export "
-        "(e.g. a --metrics-out artifact)",
-    )
-    slo.add_argument(
-        "--status", default=None, metavar="HOST:PORT", dest="status_addr",
-        type=_host_port_arg,
-        help="evaluate a live coordinator's already-computed SLO state "
-        "(its --http-port address)",
+        "--metrics", required=True, metavar="FILE",
+        help="the Prometheus text export to evaluate (a --metrics-out "
+        "file ending in .prom or .txt)",
     )
     slo.add_argument(
         "--json", action="store_true", dest="as_json",
         help="print the full status list as JSON",
-    )
-    slo.add_argument(
-        "--timeout", type=float, default=10.0,
-        help="seconds to wait for a live snapshot (--status)",
-    )
-
-    worker = sub.add_parser(
-        "worker",
-        help="execute leased campaign chunks for a coordinator "
-        "(SIGTERM finishes the current chunk, then exits)",
-    )
-    worker.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        type=_host_port_arg, help="coordinator address",
-    )
-    worker.add_argument(
-        "--max-tasks", type=int, default=None,
-        help="exit after completing this many chunks (default: run "
-        "until the coordinator drains us)",
-    )
-    worker.add_argument(
-        "--sim-delay", type=float, default=0.0,
-        help="add this many seconds of latency to each backend call — "
-        "emulates an expensive off-host simulator, so a smoke test can "
-        "kill the worker mid-lease",
-    )
-    worker.add_argument(
-        "--connect-timeout", type=float, default=10.0,
-        help="seconds to keep retrying the initial connection",
-    )
-    worker.add_argument(
-        "--reconnect-attempts", type=int, default=0,
-        help="times to re-dial a lost coordinator (full-jitter "
-        "exponential backoff; 0 exits on the first loss)",
-    )
-    worker.add_argument(
-        "--reconnect-delay", type=float, default=0.5,
-        help="base delay in seconds between reconnect attempts",
-    )
-    _telemetry_options(worker)
-
-    status = sub.add_parser(
-        "status",
-        help="print a running coordinator's progress and fleet roster "
-        "(read-only; never counts as a worker)",
-    )
-    status.add_argument(
-        "address", metavar="HOST:PORT", type=_host_port_arg,
-        help="the coordinator's --http-port address",
-    )
-    status.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="dump the raw status JSON instead of a summary",
-    )
-    status.add_argument(
-        "--timeout", type=float, default=10.0,
-        help="seconds to wait for the snapshot",
-    )
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="replay a seeded fault plan against an in-process fleet "
-        "and verify the journal stays bit-identical to serial",
-    )
-    _common(chaos)
-    _telemetry_options(chaos)
-    chaos.add_argument(
-        "--plan", required=True, metavar="FILE",
-        help="chaos plan JSON (see docs/chaos.md for the syntax)",
-    )
-    chaos.add_argument(
-        "--checkpoint-dir", required=True,
-        help="parent directory for the serial/ and chaos/ checkpoints",
-    )
-    chaos.add_argument(
-        "--program", default=None,
-        help="campaign over one program instead of a whole suite",
-    )
-    chaos.add_argument(
-        "--suite", default="spec2000", choices=("spec2000", "mibench"),
-        help="suite to simulate when --program is not given",
-    )
-    chaos.add_argument(
-        "--workers", type=int, default=3,
-        help="initial fleet size before the plan starts meddling",
-    )
-    chaos.add_argument(
-        "--chunk-size", type=int, default=128,
-        help="configurations per checkpointed chunk (default 128)",
-    )
-    chaos.add_argument(
-        "--sim-delay", type=float, default=0.05,
-        help="seconds of latency per chunk, so the campaign overlaps "
-        "the plan's event timeline instead of finishing before it",
-    )
-    chaos.add_argument(
-        "--lease-timeout", type=float, default=2.0,
-        help="coordinator lease timeout during the chaos run",
-    )
-    chaos.add_argument(
-        "--report-out", default=None, metavar="FILE",
-        help="write the machine-readable run report JSON here",
     )
     return parser
 
@@ -522,9 +333,7 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _checkpoint_options(
-    parser: argparse.ArgumentParser, distributed: bool = True
-) -> None:
+def _checkpoint_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--checkpoint-dir", default=None,
         help="journal simulation chunks here so an interrupted run can "
@@ -539,23 +348,18 @@ def _checkpoint_options(
         "--chunk-size", type=int, default=128,
         help="configurations per checkpointed chunk (default 128)",
     )
-    if distributed:
-        parser.add_argument(
-            "--distributed", default=None, metavar="HOST:PORT",
-            type=_host_port_arg,
-            help="serve this campaign's simulations to remote "
-            "'repro worker' processes instead of running them locally "
-            "(requires --checkpoint-dir; results are bit-identical)",
-        )
 
 
 def _host_port_arg(text: str):
+    """``(host, port)``; a port outside 1-65535 is refused, since the
+    socket layer would silently take it modulo 65536."""
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
+    number = int(port) if port.isascii() and port.isdigit() else 0
+    if not host or not 1 <= number <= 65535:
         raise argparse.ArgumentTypeError(
             f"expected HOST:PORT, got {text!r}"
         )
-    return host, int(port)
+    return host, number
 
 
 def _jobs_arg(text: str) -> int:
@@ -631,27 +435,6 @@ def _program_suite(program: str):
     return None
 
 
-def _campaign_profiles(args: argparse.Namespace):
-    """``--program`` alone, else the whole ``--suite``; ``None`` when
-    the program is unknown."""
-    if args.program is None:
-        return _suite(args.suite)
-    suite = _program_suite(args.program)
-    return None if suite is None else [suite[args.program]]
-
-
-def _report_campaign(result, checkpoint_dir) -> bool:
-    """Print the journal accounting; ``False`` when cells are left."""
-    print(f"campaign  : {result.simulated_cells} chunk(s) simulated, "
-          f"{result.resumed_cells} resumed from {checkpoint_dir}")
-    if result.complete:
-        return True
-    unfinished = len(result.failed_cells) + len(result.pending_cells)
-    print(f"campaign left {unfinished} chunk(s) unfinished; rerun with "
-          "--resume to continue", file=sys.stderr)
-    return False
-
-
 def _run_campaign(args: argparse.Namespace, profiles, simulator):
     """Run a checkpointed campaign; returns the result or None on error.
 
@@ -672,65 +455,19 @@ def _run_campaign(args: argparse.Namespace, profiles, simulator):
         n_jobs=getattr(args, "jobs", None),
     )
     try:
-        if getattr(args, "distributed", None):
-            result = _coordinate(args, runner, profiles, configs)
-        else:
-            result = runner.run(profiles, configs, resume=args.resume)
+        result = runner.run(profiles, configs, resume=args.resume)
     except ValueError as error:
         hint = "" if args.resume else " (pass --resume to continue it)"
         print(f"checkpoint error: {error}{hint}", file=sys.stderr)
         return None
-    return result if _report_campaign(result, args.checkpoint_dir) else None
-
-
-def _coordinate(args: argparse.Namespace, runner, profiles, configs):
-    """Serve a campaign to remote workers instead of simulating locally."""
-    from repro.distrib import CampaignCoordinator
-
-    host, port = (
-        args.distributed
-        if getattr(args, "distributed", None)
-        else (args.host, args.port)
-    )
-    slo = None
-    slo_config = getattr(args, "slo_config", None)
-    if slo_config:
-        from repro.obs import SLOTracker
-
-        slo = SLOTracker.from_config(slo_config)
-    coordinator = CampaignCoordinator(
-        runner,
-        host=host,
-        port=port,
-        lease_timeout=getattr(args, "lease_timeout", 60.0),
-        min_workers=getattr(args, "min_workers", 0),
-        http_port=getattr(args, "http_port", None),
-        slo=slo,
-        sample_interval=getattr(args, "sample_interval", 1.0),
-    )
-
-    def _ready(c) -> None:
-        print(f"coordinating on {c.host}:{c.port}; start workers with: "
-              f"repro worker --connect {c.host}:{c.port}", file=sys.stderr)
-        if c.http_port is not None:
-            print(f"observability on http://{c.host}:{c.http_port} "
-                  "(/metrics /healthz /status); watch live with: "
-                  f"repro top {c.host}:{c.http_port}", file=sys.stderr)
-
-    result = coordinator.run(
-        profiles, configs, resume=args.resume, ready_callback=_ready
-    )
-    stats = coordinator.stats
-    throughput = (
-        f"{stats.tasks_completed / stats.elapsed:.2f} tasks/s"
-        if stats.elapsed
-        else "n/a"
-    )
-    print(f"workers   : {stats.workers_seen} seen, "
-          f"{stats.tasks_completed} task(s) completed ({throughput}), "
-          f"{stats.reclaims} lease(s) reclaimed, "
-          f"{stats.stale_results} stale result(s) dropped")
-    return result
+    print(f"campaign  : {result.simulated_cells} chunk(s) simulated, "
+          f"{result.resumed_cells} resumed from {args.checkpoint_dir}")
+    if result.complete:
+        return result
+    unfinished = len(result.failed_cells) + len(result.pending_cells)
+    print(f"campaign left {unfinished} chunk(s) unfinished; rerun with "
+          "--resume to continue", file=sys.stderr)
+    return None
 
 
 def _cmd_table1() -> int:
@@ -746,10 +483,6 @@ def _cmd_table2() -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     suite = _program_suite(args.program)
     if suite is None:
-        return 2
-    if args.distributed and not args.checkpoint_dir:
-        print("--distributed needs --checkpoint-dir (the coordinator "
-              "journals results there)", file=sys.stderr)
         return 2
     if args.checkpoint_dir:
         return _cmd_simulate_campaign(args, suite)
@@ -879,10 +612,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     metric = Metric.from_name(args.metric)
     suite = _program_suite(args.program)
     if suite is None:
-        return 2
-    if args.distributed and not args.checkpoint_dir:
-        print("--distributed needs --checkpoint-dir (the coordinator "
-              "journals results there)", file=sys.stderr)
         return 2
     spec = spec2000_suite()
     if args.checkpoint_dir:
@@ -1266,124 +995,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_coordinator(args: argparse.Namespace) -> int:
-    from repro.designspace import sample_configurations
-    from repro.runtime import CampaignRunner, IntervalBackend
-    from repro.sim import IntervalSimulator
-
-    if not args.checkpoint_dir:
-        print("coordinator needs --checkpoint-dir (the journal is the "
-              "campaign's source of truth)", file=sys.stderr)
-        return 2
-    profiles = _campaign_profiles(args)
-    if profiles is None:
-        return 2
-    simulator = IntervalSimulator()
-    configs = sample_configurations(
-        simulator.space, args.samples, seed=args.seed
-    )
-    runner = CampaignRunner(
-        IntervalBackend(simulator),
-        args.checkpoint_dir,
-        chunk_size=args.chunk_size,
-        seed=args.seed,
-    )
-    try:
-        result = _coordinate(args, runner, profiles, configs)
-    except ValueError as error:
-        hint = "" if args.resume else " (pass --resume to continue it)"
-        print(f"checkpoint error: {error}{hint}", file=sys.stderr)
-        return 2
-    return 0 if _report_campaign(result, args.checkpoint_dir) else 1
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.distrib import CampaignWorker, DelayBackend, ProtocolError
-    from repro.runtime import IntervalBackend
-
-    host, port = args.connect
-    worker = CampaignWorker(
-        host,
-        port,
-        backend_factory=lambda: DelayBackend(
-            IntervalBackend(), args.sim_delay
-        ),
-        max_tasks=args.max_tasks,
-        connect_timeout=args.connect_timeout,
-        reconnect_attempts=args.reconnect_attempts,
-        reconnect_delay=args.reconnect_delay,
-    )
-    try:
-        completed = worker.run()
-    except (ConnectionError, ProtocolError, OSError) as error:
-        print(f"worker error: {error}", file=sys.stderr)
-        return 1
-    print(f"worker    : {completed} chunk(s) completed")
-    return 0
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.distrib import ProtocolError, fetch_status
-
-    host, port = args.address
-    try:
-        status = fetch_status(host, port, timeout=args.timeout)
-    except (ConnectionError, ProtocolError, OSError, TimeoutError) as error:
-        print(f"status error: {error}", file=sys.stderr)
-        return 1
-    if args.as_json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    campaign = status.get("campaign") or {}
-    progress = status.get("progress") or {}
-    print(f"campaign  : {len(campaign.get('programs', []))} program(s) "
-          f"x {campaign.get('config_count', 0)} config(s), "
-          f"{campaign.get('total_cells', 0)} cell(s), "
-          f"seed {campaign.get('seed')}")
-    print(f"progress  : {progress.get('journalled', 0)}/"
-          f"{progress.get('total', 0)} journalled, "
-          f"{progress.get('leased', 0)} leased, "
-          f"{progress.get('queued', 0)} queued, "
-          f"{progress.get('failed', 0)} failed"
-          + (" [draining]" if status.get("draining") else ""))
-    for entry in status.get("fleet", ()):
-        state = "active" if entry.get("active") else "gone"
-        if entry.get("slow"):
-            state += ", slow"
-        print(f"worker    : {entry.get('worker')} [{state}] "
-              f"rate {entry.get('rate')}/s "
-              f"weight {entry.get('weight')} "
-              f"bundle {entry.get('bundle_size')} "
-              f"done {entry.get('tasks_completed')}")
-    stats = status.get("stats") or {}
-    print("stats     : " + ", ".join(
-        f"{key}={value}" for key, value in sorted(stats.items())
-    ))
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.distrib import ProtocolError
-    from repro.distrib.top import TopSession
-
-    host, port = args.address
-    session = TopSession(host, port, timeout=args.timeout)
-    try:
-        if args.once:
-            return session.run_once(sys.stdout)
-        return session.run(
-            sys.stdout, interval=args.interval, max_frames=args.frames
-        )
-    except (ConnectionError, ProtocolError, OSError, TimeoutError) as error:
-        print(f"top error: {error}", file=sys.stderr)
-        return 1
-
-
 def _cmd_slo(args: argparse.Namespace) -> int:
     import json
-    import math
 
     from repro.obs import MetricsView, SLOTracker
 
@@ -1392,179 +1005,29 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as error:
         print(f"slo config error: {error}", file=sys.stderr)
         return 2
-    if args.metrics and args.status_addr:
-        print("pass --metrics or --status, not both", file=sys.stderr)
+    try:
+        with open(args.metrics, encoding="utf-8") as handle:
+            view = MetricsView.from_prometheus(handle.read())
+    except (OSError, ValueError) as error:
+        print(f"slo metrics error: {error}", file=sys.stderr)
         return 2
-    if args.status_addr:
-        # A live coordinator already evaluates its objectives against
-        # its own time series; trust its verdicts so the check agrees
-        # with what /metrics and `repro top` show.
-        from repro.distrib import ProtocolError, fetch_status
-
-        host, port = args.status_addr
-        try:
-            status = fetch_status(host, port, timeout=args.timeout)
-        except (ConnectionError, ProtocolError, OSError,
-                TimeoutError) as error:
-            print(f"slo status error: {error}", file=sys.stderr)
-            return 1
-        known = {entry.get("name"): entry for entry in status.get("slo", ())}
-        payloads = []
-        for objective in tracker.objectives:
-            entry = known.get(objective.name)
-            if entry is None:
-                entry = {"name": objective.name, "kind": objective.kind,
-                         "threshold": objective.threshold, "value": None,
-                         "burn": None, "ok": True, "no_data": True,
-                         "description": objective.description}
-            payloads.append(entry)
-    else:
-        if args.metrics:
-            try:
-                text = open(args.metrics, encoding="utf-8").read()
-            except OSError as error:
-                print(f"slo metrics error: {error}", file=sys.stderr)
-                return 2
-            source = MetricsView.from_prometheus(text)
-        else:
-            source = get_registry()  # in-process (mostly for tests)
-        _, statuses = tracker.check(source)
-        payloads = [status.to_payload() for status in statuses]
-    ok = all(entry.get("ok", False) for entry in payloads)
+    ok, statuses = tracker.check(view)
     if args.as_json:
         print(json.dumps(
-            {"ok": ok, "objectives": payloads}, indent=2, sort_keys=True
+            {"ok": ok, "objectives": [s.to_payload() for s in statuses]},
+            indent=2, sort_keys=True,
         ))
     else:
-        for entry in payloads:
-            if entry.get("no_data"):
+        for status in statuses:
+            if status.no_data:
                 verdict, burn = "no-data ", "-"
             else:
-                verdict = "ok      " if entry.get("ok") else "VIOLATED"
-                raw_burn = entry.get("burn")
-                burn = (
-                    f"{raw_burn:.2f}x"
-                    if isinstance(raw_burn, (int, float))
-                    and not math.isnan(raw_burn)
-                    else "-"
-                )
-            print(f"slo       : {entry.get('name', '?'):<24} {verdict} "
-                  f"burn {burn} (threshold "
-                  f"{entry.get('threshold', '?')})")
+                verdict = "ok      " if status.ok else "VIOLATED"
+                burn = f"{status.burn:.2f}x"
+            print(f"slo       : {status.objective.name:<24} {verdict} "
+                  f"burn {burn} (threshold {status.objective.threshold})")
         print(f"verdict   : {'all objectives ok' if ok else 'SLO violation'}")
     return 0 if ok else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    import dataclasses
-    import json
-    import pathlib
-
-    from repro.designspace import sample_configurations
-    from repro.distrib import ChaosPlan, DelayBackend
-    from repro.distrib.chaos import (
-        journal_checksums,
-        run_chaos_campaign_sync,
-    )
-    from repro.runtime import CampaignRunner, IntervalBackend
-    from repro.sim import IntervalSimulator
-
-    try:
-        plan = ChaosPlan.load(args.plan)
-    except (OSError, ValueError) as error:
-        print(f"chaos plan error: {error}", file=sys.stderr)
-        return 2
-    profiles = _campaign_profiles(args)
-    if profiles is None:
-        return 2
-    simulator = IntervalSimulator()
-    configs = sample_configurations(
-        simulator.space, args.samples, seed=args.seed
-    )
-    base = pathlib.Path(args.checkpoint_dir)
-    serial_dir = base / "serial"
-    chaos_dir = base / "chaos"
-
-    print(f"baseline  : serial campaign -> {serial_dir}", file=sys.stderr)
-    serial_runner = CampaignRunner(
-        IntervalBackend(simulator),
-        serial_dir,
-        chunk_size=args.chunk_size,
-        seed=args.seed,
-    )
-    serial_result = serial_runner.run(profiles, configs)
-    if not serial_result.complete:
-        print("serial baseline did not complete; aborting",
-              file=sys.stderr)
-        return 1
-
-    print(f"chaos     : {len(plan.events)} event(s), seed {plan.seed}, "
-          f"{args.workers} worker(s) -> {chaos_dir}", file=sys.stderr)
-    report = run_chaos_campaign_sync(
-        lambda: CampaignRunner(
-            IntervalBackend(IntervalSimulator()),
-            chaos_dir,
-            chunk_size=args.chunk_size,
-            seed=args.seed,
-        ),
-        profiles,
-        configs,
-        plan,
-        n_workers=args.workers,
-        backend_factory=lambda: DelayBackend(
-            IntervalBackend(IntervalSimulator()), args.sim_delay
-        ),
-        coordinator_kwargs={
-            "lease_timeout": args.lease_timeout,
-            "monitor_interval": 0.02,
-        },
-    )
-    for entry in report.event_log:
-        print(f"event     : t+{entry['at']:.2f}s {entry['action']} "
-              f"-> {entry['target'] or '-'}")
-    stats = report.stats
-    print(f"fleet     : {stats.joins} join(s), {stats.leaves} leave(s), "
-          f"{stats.steals} steal(s), {stats.reclaims} reclaim(s), "
-          f"{stats.speculative_wins} speculative win(s)")
-
-    serial_sums = journal_checksums(serial_dir)
-    chaos_sums = journal_checksums(chaos_dir)
-    lost = sorted(set(serial_sums) - set(chaos_sums))
-    diverged = sorted(
-        cell for cell in chaos_sums
-        if cell in serial_sums and serial_sums[cell] != chaos_sums[cell]
-    )
-    identical = (
-        report.result.complete
-        and not lost
-        and not diverged
-        and chaos_sums == serial_sums
-    )
-    if args.report_out:
-        payload = {
-            "plan": plan.to_dict(),
-            "identical": identical,
-            "lost_cells": lost,
-            "diverged_cells": diverged,
-            "event_log": report.event_log,
-            "fleet_events": report.fleet_events,
-            "worker_tasks": report.worker_tasks,
-            "stats": dataclasses.asdict(stats),
-        }
-        path = pathlib.Path(args.report_out)
-        path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-        print(f"report    : {path}", file=sys.stderr)
-    if not report.result.complete:
-        print("verdict   : chaos campaign did not complete",
-              file=sys.stderr)
-        return 1
-    if not identical:
-        print(f"verdict   : journal diverged ({len(lost)} lost, "
-              f"{len(diverged)} mismatched)", file=sys.stderr)
-        return 1
-    print(f"verdict   : journal bit-identical to serial across "
-          f"{len(chaos_sums)} cell(s)")
-    return 0
 
 
 def _raise_exit(signum, _frame) -> None:
@@ -1614,18 +1077,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_serve(args)
         if args.command == "load":
             return _cmd_load(args)
-        if args.command == "coordinator":
-            return _cmd_coordinator(args)
-        if args.command == "worker":
-            return _cmd_worker(args)
-        if args.command == "status":
-            return _cmd_status(args)
-        if args.command == "top":
-            return _cmd_top(args)
         if args.command == "slo":
             return _cmd_slo(args)
-        if args.command == "chaos":
-            return _cmd_chaos(args)
         raise AssertionError(f"unhandled command {args.command!r}")
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

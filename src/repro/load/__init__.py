@@ -2,8 +2,7 @@
 
 The paper's pitch is answering design-space queries 4–5 orders of
 magnitude faster than simulation; this package proves the serving
-layer can absorb that query volume.  It is the load-generation
-counterpart to :mod:`repro.distrib.chaos`: a seeded declarative JSON
+layer can absorb that query volume.  A seeded declarative JSON
 plan (:class:`LoadPlan`) drives deterministic arrival processes
 (:mod:`~repro.load.arrivals` — constant, Poisson, burst, ramp) and
 traffic mixes (zipf-skewed hot configurations, cold-miss floods,
@@ -14,7 +13,8 @@ instead of hiding it (no coordinated omission).
 
 Per-request outcomes land in the process metrics registry
 (``load_requests{stage,kind,outcome}``, ``load_request_seconds``), so
-``repro slo check`` gates a load run the same way it gates a campaign.
+``repro load --slo`` (or ``repro slo check`` on its ``--metrics-out``
+export) gates a load run the same way it gates a campaign.
 ``repro load --plan`` is the CLI entry.
 """
 

@@ -9,8 +9,7 @@ closed-loop generator hides (coordinated omission).
 Every process here is a pure function of its parameters (plus, for
 Poisson, a caller-supplied :class:`numpy.random.Generator`): the same
 plan and seed always produce the same schedule, so a below-knee run
-replays bit-identically — the same determinism contract as
-:mod:`repro.distrib.chaos`.
+replays bit-identically.
 
 Arrival kinds:
 

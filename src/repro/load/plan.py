@@ -1,11 +1,10 @@
 """Declarative load plans: seeded, validated, JSON on disk.
 
-A :class:`LoadPlan` is to the load generator what a
-:class:`~repro.distrib.chaos.ChaosPlan` is to the chaos harness — a
-small, strict JSON document that fully determines a run.  Stages
-execute back to back; each names an arrival process
-(:mod:`repro.load.arrivals`), a mean request rate, a client-thread
-count, and a traffic *mix* over three request kinds:
+A :class:`LoadPlan` is a small, strict JSON document that fully
+determines a load generator run.  Stages execute back to back; each
+names an arrival process (:mod:`repro.load.arrivals`), a mean request
+rate, a client-thread count, and a traffic *mix* over three request
+kinds:
 
 * ``predict_hot`` — ``/predict`` over a small pool of configurations
   drawn zipf-skewed (exponent ``zipf_s``), the traffic shape that

@@ -11,18 +11,16 @@ Everything the rest of the package uses to explain itself at runtime:
   parent correctly.
 * **Tracing** — :func:`span` context managers collected by a
   :class:`Tracer`, exported as ``chrome://tracing`` JSON or JSONL,
-  with trace/span ids for cross-host stitching.
+  with span ids, parent links and one trace id per campaign.
 * **Run manifests** — :func:`build_manifest` /
   :func:`write_manifest`: run id, seed, git sha, input checksum,
   timing summary and final metrics in one provenance file.
-* **Time series + SLOs** — :class:`TimeSeriesSampler` ring-buffers
-  registry samples for rates and windowed percentiles;
-  :class:`SLOTracker` evaluates declarative objectives (latency
-  budgets, burn rates) against a registry, a sampler, or a parsed
+* **SLOs** — :class:`SLOTracker` evaluates declarative objectives
+  (latency budgets, burn rates) against a registry or a parsed
   Prometheus export (:class:`MetricsView`).
-* **HTTP plumbing** — the stdlib-only request/response helpers and
-  the read-only :class:`ObservabilityEndpoint` behind ``repro serve``
-  and the coordinator's ``/metrics``/``/healthz``/``/status`` twins.
+* **HTTP plumbing** — ``repro.obs.http``, the stdlib-only request
+  parser and response writer behind ``repro serve`` (imported on
+  demand, so only serving pays for ``asyncio``).
 
 Instrumentation is always-on but cheap (dict bumps and two clock
 reads per span); it records *around* the computation and never touches
@@ -37,7 +35,6 @@ from .logging import (
     get_logger,
     resolve_level,
 )
-from .http import ObservabilityEndpoint
 from .manifest import build_manifest, git_sha, write_manifest
 from .metrics import (
     Counter,
@@ -48,8 +45,7 @@ from .metrics import (
     scoped_registry,
     set_registry,
 )
-from .slo import MetricsView, SLObjective, SLOTracker
-from .timeseries import TimeSeriesSampler, histogram_quantile
+from .slo import MetricsView, SLObjective, SLOTracker, histogram_quantile
 from .tracing import (
     Tracer,
     get_tracer,
@@ -67,10 +63,8 @@ __all__ = [
     "JsonFormatter",
     "MetricsRegistry",
     "MetricsView",
-    "ObservabilityEndpoint",
     "SLObjective",
     "SLOTracker",
-    "TimeSeriesSampler",
     "Tracer",
     "build_manifest",
     "configure_logging",

@@ -1,28 +1,20 @@
-"""Minimal shared HTTP/1.1 plumbing for the observability surfaces.
+"""Minimal HTTP/1.1 plumbing for the prediction server.
 
-Two subsystems expose HTTP without pulling in a framework: the
-prediction server (``repro serve``) and the distributed coordinator's
-read-only observability twins (``--http-port``: ``/metrics``,
-``/healthz``, ``/status``).  Both ride the same stdlib-only request
-parser and response writer here, so content-type quirks, keep-alive
-semantics and body limits are fixed in exactly one place.
-
-:class:`ObservabilityEndpoint` is the ready-made read-only flavour: a
-table of GET routes, each a zero-argument callable returning
-``(status, body_bytes, content_type)``.  The prediction server keeps
-its own richer dispatch (POST bodies, backpressure) but uses the same
-primitives below.
+``repro serve`` speaks HTTP without pulling in a framework: the
+stdlib-only request parser and response writer here fix content-type
+quirks, keep-alive semantics and body limits in one place, and the
+server keeps its own dispatch (POST bodies, admission, backpressure)
+on top of them.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "BadRequest",
-    "ObservabilityEndpoint",
     "PROMETHEUS_CONTENT_TYPE",
     "dump_json",
     "json_error",
@@ -44,10 +36,6 @@ _REASONS = {
     405: "Method Not Allowed", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
-
-#: A route handler: () -> (status, body, content_type).
-RouteHandler = Callable[[], Tuple[int, bytes, str]]
-
 
 class BadRequest(ValueError):
     """A malformed client request, answered with a 400 and this message."""
@@ -172,96 +160,3 @@ async def reject_bad_request(
     )
     await writer.drain()
 
-
-class ObservabilityEndpoint:
-    """A read-only GET-routed asyncio HTTP sidecar.
-
-    Args:
-        routes: ``{path: handler}``; each handler is synchronous and
-            returns ``(status, body_bytes, content_type)``.  Handlers
-            run on the event loop, so they must be cheap — snapshot
-            serialisation, not simulation.
-        host: Bind address.
-        port: Bind port; 0 picks a free one (read :attr:`port` after
-            :meth:`start`).
-    """
-
-    def __init__(
-        self,
-        routes: Mapping[str, RouteHandler],
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.routes = dict(routes)
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: set = set()
-
-    async def start(self) -> None:
-        """Bind the socket (resolves :attr:`port` when it was 0)."""
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def stop(self) -> None:
-        """Close the socket and every open connection."""
-        if self._server is None:
-            return
-        self._server.close()
-        for writer in list(self._connections):
-            writer.close()
-        await self._server.wait_closed()
-        self._server = None
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except BadRequest as error:
-                    await reject_bad_request(writer, error)
-                    break
-                if request is None:
-                    break
-                method, target, headers, _body = request
-                path = target.split("?", 1)[0]
-                handler = self.routes.get(path)
-                if handler is None:
-                    status, payload, content_type, extra = json_error(
-                        404, f"unknown path {path!r}"
-                    )
-                elif method != "GET":
-                    status, payload, content_type, extra = json_error(
-                        405, "use GET"
-                    )
-                else:
-                    extra = {}
-                    try:
-                        status, payload, content_type = handler()
-                    except Exception as error:  # noqa: BLE001 — a broken
-                        # handler must answer 500, not kill the endpoint.
-                        status, payload, content_type, extra = json_error(
-                            500, f"handler failed: {error}"
-                        )
-                keep_alive = wants_keep_alive(headers)
-                write_response(
-                    writer, status, payload, content_type,
-                    keep_alive=keep_alive, extra=extra,
-                )
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request; nothing to answer
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass

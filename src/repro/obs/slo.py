@@ -1,24 +1,23 @@
 """Declarative SLOs evaluated from metrics — and enforced as exit codes.
 
-ROADMAP item 3 asks for SLO tracking (p99 latency budgets, error burn
-rates) computed from the telemetry the package already exports.  This
-module keeps the policy *declarative*: objectives live in a small JSON
-config::
+SLO tracking (p99 latency budgets, error burn rates) is computed from
+the telemetry the package already exports.  The policy is
+*declarative*: objectives live in a small JSON config::
 
     {"objectives": [
       {"name": "chunk-p99", "kind": "latency",
        "metric": "campaign.chunk.seconds", "quantile": 0.99,
        "threshold": 30.0},
-      {"name": "reclaim-burn", "kind": "error_rate",
-       "numerator": "distrib.lease.reclaimed",
-       "denominator": "distrib.tasks.issued", "threshold": 0.5}
+      {"name": "load-error-rate", "kind": "error_rate",
+       "numerator": "load.requests",
+       "numerator_labels": {"outcome": "error"},
+       "denominator": "load.requests", "threshold": 0.01}
     ]}
 
-and :class:`SLOTracker` evaluates them against any of three sources:
+and :class:`SLOTracker` evaluates them against either of two sources:
 
-* a live :class:`~repro.obs.metrics.MetricsRegistry` (in-process);
-* a :class:`~repro.obs.timeseries.TimeSeriesSampler` (the distributed
-  coordinator's windowed view);
+* a live :class:`~repro.obs.metrics.MetricsRegistry` (in-process, as
+  ``repro load --slo`` does);
 * a Prometheus text export parsed by
   :meth:`MetricsView.from_prometheus` — so ``repro slo check`` works
   headlessly on the ``--metrics-out`` artifacts a CI run already has.
@@ -39,9 +38,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .metrics import Histogram, MetricsRegistry
-from .timeseries import TimeSeriesSampler, histogram_quantile
 
-__all__ = ["MetricsView", "SLObjective", "SLOTracker"]
+__all__ = ["MetricsView", "SLObjective", "SLOTracker", "histogram_quantile"]
 
 #: Objective kinds.  ``drop_rate`` is semantically identical to
 #: ``error_rate`` (numerator/denominator ratio); the distinct name
@@ -69,6 +67,53 @@ def _unescape(value: str) -> str:
     return (
         value.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
     )
+
+
+def histogram_quantile(
+    bounds: Sequence[float], counts: Sequence[int], q: float
+) -> float:
+    """The ``q``-quantile estimated from histogram buckets.
+
+    Mirrors Prometheus' ``histogram_quantile``: linear interpolation
+    inside the bucket the rank falls in, a lower edge of 0 for the
+    first bucket, and the highest *finite* bound when the rank lands in
+    the +Inf bucket (an estimate can't exceed what was measured).
+
+    Args:
+        bounds: Finite bucket upper bounds, strictly increasing.
+        counts: Per-bucket counts, one longer than ``bounds`` (the last
+            slot is the implicit +Inf bucket).
+    Returns:
+        The estimate, or NaN for an empty histogram (or one with no
+        finite buckets).
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be within [0, 1]")
+    counts = [int(c) for c in counts]
+    if len(counts) != len(bounds) + 1:
+        raise ValueError(
+            f"need {len(bounds) + 1} bucket counts for {len(bounds)} "
+            f"bounds, got {len(counts)}"
+        )
+    if any(c < 0 for c in counts):
+        raise ValueError("bucket counts must be non-negative")
+    total = sum(counts)
+    if total == 0:
+        return math.nan
+    rank = q * total
+    cumulative = 0
+    previous = 0.0
+    for bound, count in zip(bounds, counts):
+        if count > 0 and cumulative + count >= rank:
+            if rank <= cumulative:
+                return previous
+            fraction = (rank - cumulative) / count
+            return previous + (bound - previous) * fraction
+        cumulative += count
+        previous = bound
+    # The rank falls in the +Inf bucket; the highest finite bound is
+    # the best (and the Prometheus-compatible) answer.
+    return bounds[-1] if bounds else math.nan
 
 
 @dataclass(frozen=True)
@@ -201,6 +246,10 @@ class MetricsView:
         series; ``_sum``/``_count`` lines and plain samples land as
         scalar values.  Unparseable lines are skipped, not fatal — a
         foreign exporter's exotic lines must not break an SLO check.
+
+        Raises:
+            ValueError: when no line parses as a sample (a JSON export,
+                say): every objective would read "no data" and pass.
         """
         view = cls()
         buckets: Dict[Tuple[str, LabelPairs], Dict[float, float]] = {}
@@ -227,6 +276,8 @@ class MetricsView:
                 buckets.setdefault(key, {})[bound] = value
             else:
                 view._values[(name, _pairs(labels))] = value
+        if not view._values and not buckets:
+            raise ValueError("no Prometheus text samples found")
         for key, by_bound in buckets.items():
             bounds = sorted(by_bound)
             finite = tuple(b for b in bounds if math.isfinite(b))
@@ -343,30 +394,21 @@ class SLOTracker:
     # Evaluation
     # ------------------------------------------------------------------
     def evaluate(
-        self,
-        source: Union[MetricsView, MetricsRegistry, TimeSeriesSampler],
-        window: Optional[float] = None,
+        self, source: Union[MetricsView, MetricsRegistry]
     ) -> List[SLOStatus]:
-        """Evaluate every objective; ``window`` only applies to
-        time-series sources (views and registries are point-in-time)."""
+        """Evaluate every objective at this point in time."""
         if isinstance(source, MetricsRegistry):
             source = MetricsView.from_registry(source)
-        statuses = []
-        for objective in self.objectives:
-            if isinstance(source, TimeSeriesSampler):
-                value = self._from_sampler(objective, source, window)
-            else:
-                value = self._from_view(objective, source)
-            statuses.append(self._status(objective, value))
-        return statuses
+        return [
+            self._status(objective, self._from_view(objective, source))
+            for objective in self.objectives
+        ]
 
     def check(
-        self,
-        source: Union[MetricsView, MetricsRegistry, TimeSeriesSampler],
-        window: Optional[float] = None,
+        self, source: Union[MetricsView, MetricsRegistry]
     ) -> Tuple[bool, List[SLOStatus]]:
         """``(all objectives ok, statuses)`` — the exit-code shape."""
-        statuses = self.evaluate(source, window)
+        statuses = self.evaluate(source)
         return all(status.ok for status in statuses), statuses
 
     @staticmethod
@@ -384,29 +426,6 @@ class SLOTracker:
         return _ratio(numerator, denominator)
 
     @staticmethod
-    def _from_sampler(
-        objective: SLObjective,
-        sampler: TimeSeriesSampler,
-        window: Optional[float],
-    ) -> float:
-        if objective.kind == "latency":
-            return sampler.quantile(
-                objective.metric,
-                objective.quantile,
-                window,
-                **dict(objective.labels),
-            )
-        numerator = sampler.increase(
-            objective.numerator, window, **dict(objective.numerator_labels)
-        )
-        denominator = sampler.increase(
-            objective.denominator,
-            window,
-            **dict(objective.denominator_labels),
-        )
-        return _ratio(numerator, denominator)
-
-    @staticmethod
     def _status(objective: SLObjective, value: float) -> SLOStatus:
         no_data = math.isnan(value)
         burn = math.nan if no_data else value / objective.threshold
@@ -418,22 +437,6 @@ class SLOTracker:
             ok=ok,
             no_data=no_data,
         )
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-    def export_gauges(
-        self, statuses: Sequence[SLOStatus], registry: MetricsRegistry
-    ) -> None:
-        """Mirror statuses as ``slo.*`` gauges so the Prometheus and
-        JSON exporters (and anything scraping ``/metrics``) see SLO
-        state without a second protocol."""
-        for status in statuses:
-            name = status.objective.name
-            registry.gauge("slo.ok", slo=name).set(1.0 if status.ok else 0.0)
-            if not status.no_data:
-                registry.gauge("slo.value", slo=name).set(status.value)
-                registry.gauge("slo.burn", slo=name).set(status.burn)
 
 
 def _ratio(numerator: float, denominator: float) -> float:

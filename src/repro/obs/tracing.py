@@ -20,19 +20,15 @@ results.  The collecting :class:`Tracer` exports:
 Worker processes trace into their own :class:`Tracer` (installed with
 :func:`scoped_tracer`) and ship ``tracer.spans`` back to the parent,
 which folds them in with :meth:`Tracer.adopt` — the exported trace then
-shows every worker's cells under that worker's pid lane.
+shows every worker's cells under that worker's pid row.
 
-Spans also carry **trace context** for cross-host stitching: every span
-gets a ``span_id``, a ``parent_id`` (the enclosing span, or whatever
-:meth:`Tracer.bind` installed as the remote parent), and — once the
-tracer owns a ``trace_id`` — the campaign-wide trace id.  A distributed
-coordinator generates the trace id, ships ``{trace_id, parent_id}``
-with each task, and the worker binds it so the spans it sends back
-stitch under one trace; :meth:`Tracer.adopt` stamps the local trace id
-onto adopted spans that lack one, so spans from process-pool children
-(which never see the trace context) still land in the same trace.  A tracer constructed with a ``lane`` stamps it on
-every span, and :meth:`Tracer.to_chrome_events` renders each lane as
-its own named process row — one lane per worker, across hosts.
+Spans also carry **trace context**: every span gets a ``span_id``, a
+``parent_id`` (the enclosing span, when there is one) and — once the
+tracer owns a ``trace_id`` — the campaign-wide trace id.  A campaign
+sets one with :meth:`Tracer.ensure_trace_id`, and :meth:`Tracer.adopt`
+stamps it onto adopted spans that lack one, so spans from
+process-pool children (which never see the trace id) land in the
+campaign's one trace.
 """
 
 from __future__ import annotations
@@ -56,11 +52,6 @@ __all__ = [
     "scoped_tracer",
     "span",
 ]
-
-#: Synthetic pid base for named lanes in the chrome export — far above
-#: real pids so a lane row never collides with an un-laned span's pid.
-_LANE_PID_BASE = 1 << 22
-
 
 def new_trace_id() -> str:
     """A fresh 32-hex-char trace id.
@@ -87,10 +78,7 @@ class Tracer:
             active metrics registry) instead of stored, so a
             pathological loop cannot exhaust memory.
         trace_id: Trace this tracer's spans belong to (``None`` until
-            :meth:`bind` or :meth:`ensure_trace_id` sets one).
-        lane: Stamped on every span this tracer records; the chrome
-            export renders each lane as its own named process row
-            (workers pass their worker id).
+            :meth:`ensure_trace_id` sets one).
     """
 
     def __init__(
@@ -98,56 +86,24 @@ class Tracer:
         enabled: bool = True,
         max_spans: int = 200_000,
         trace_id: Optional[str] = None,
-        lane: Optional[str] = None,
     ) -> None:
         if max_spans < 1:
             raise ValueError("max_spans must be at least 1")
         self.enabled = enabled
         self.max_spans = max_spans
         self.trace_id = trace_id
-        self.lane = lane
         self.spans: List[Dict] = []
         self.dropped = 0
-        self._parent_id: Optional[str] = None
         self._local = threading.local()
 
     # ------------------------------------------------------------------
     # Trace context
     # ------------------------------------------------------------------
-    def bind(
-        self,
-        trace_id: Optional[str] = None,
-        parent_id: Optional[str] = None,
-    ) -> None:
-        """Adopt a remote trace context for subsequently recorded spans.
-
-        ``trace_id`` stamps every new span; ``parent_id`` becomes the
-        parent of *root* spans (spans opened with an empty local
-        stack), which is how a worker's ``simulate.chunk`` span hangs
-        off the coordinator's ``distrib.coordinate`` span across the
-        wire.  Binding ``None``s clears the context.
-        """
-        self.trace_id = trace_id
-        self._parent_id = parent_id
-
     def ensure_trace_id(self) -> str:
         """This tracer's trace id, generating one on first use."""
         if self.trace_id is None:
             self.trace_id = new_trace_id()
         return self.trace_id
-
-    def context(self) -> Dict[str, Optional[str]]:
-        """The propagatable ``{trace_id, span_id}`` of the active span.
-
-        ``span_id`` is the innermost span open on the calling thread
-        (or the bound remote parent when nothing is open) — the id a
-        remote child span should claim as its ``parent_id``.
-        """
-        stack = self._stack()
-        return {
-            "trace_id": self.trace_id,
-            "span_id": stack[-1] if stack else self._parent_id,
-        }
 
     # ------------------------------------------------------------------
     # Recording
@@ -159,16 +115,13 @@ class Tracer:
         return stack
 
     def _stamp(self, record: Dict, stack: List[str]) -> None:
-        """Attach ids/lane; context keys are omitted when unset so
+        """Attach ids; context keys are omitted when unset so
         context-free spans keep their exact pre-trace-context shape."""
         record["span_id"] = _new_span_id()
-        parent = stack[-1] if stack else self._parent_id
-        if parent is not None:
-            record["parent_id"] = parent
+        if stack:
+            record["parent_id"] = stack[-1]
         if self.trace_id is not None:
             record["trace_id"] = self.trace_id
-        if self.lane is not None:
-            record["lane"] = self.lane
 
     @contextmanager
     def span(self, name: str, **attrs) -> Iterator[Optional[Dict]]:
@@ -304,30 +257,13 @@ class Tracer:
     def to_chrome_events(self) -> List[Dict]:
         """Spans as Chrome trace 'complete' (``ph: X``) events.
 
-        Spans stamped with a ``lane`` (one per worker, across hosts)
-        are mapped onto synthetic per-lane pids with ``process_name``
-        metadata events, so the viewer shows one named row per worker
-        instead of piling every host's spans into real-pid rows that
-        may collide.  Trace-context ids ride in ``args``.  When spans
-        were dropped past ``max_spans``, a ``trace.truncated`` instant
-        event flags the export as incomplete.
+        Each span sits in its recording process's pid row, so a
+        ``--jobs`` child's spans get their own row.  Trace-context ids
+        ride in ``args``.  When spans were dropped past ``max_spans``, a
+        ``trace.truncated`` instant event flags the export as
+        incomplete.
         """
-        lanes = sorted(
-            {record["lane"] for record in self.spans if "lane" in record}
-        )
-        lane_pid = {
-            lane: _LANE_PID_BASE + index for index, lane in enumerate(lanes)
-        }
-        events: List[Dict] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": lane_pid[lane],
-                "tid": 0,
-                "args": {"name": lane},
-            }
-            for lane in lanes
-        ]
+        events: List[Dict] = []
         last_end = 0.0
         for record in self.spans:
             args = dict(record["attrs"])
@@ -342,7 +278,7 @@ class Tracer:
                     "ph": "X",
                     "ts": round(record["ts"] * 1e6, 3),
                     "dur": round(record["dur"] * 1e6, 3),
-                    "pid": lane_pid.get(record.get("lane"), record["pid"]),
+                    "pid": record["pid"],
                     "tid": record["tid"],
                     "args": args,
                 }

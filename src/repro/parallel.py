@@ -1,8 +1,8 @@
 """Shared helpers for the process-parallel execution knobs.
 
 Several layers fan work out over a ``ProcessPoolExecutor`` — the
-offline training pool, the campaign runner, the CLI, the distributed
-worker — and they all speak the same ``n_jobs`` dialect, resolved here
+offline training pool, the campaign runner, the CLI — and they all
+speak the same ``n_jobs`` dialect, resolved here
 so every layer agrees on what ``None`` and ``-1`` mean.  The
 ``REPRO_JOBS`` environment variable supplies the default when a caller
 passes ``None``, so CI and operators set the fleet-wide worker count

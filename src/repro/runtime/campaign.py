@@ -13,9 +13,9 @@ resumes from the journal: cells whose rows still match their digests
 are loaded from disk, unfinished ones are re-simulated, and the
 assembled matrices are bit-identical to an uninterrupted run.
 
-Every executor (the serial loop, the process pool and the distributed
-worker) runs the same unit of work, a :class:`CellGroup` of one chunk's
-unfinished cells, through :func:`run_group`.  Backends advertising the
+Both executors (the serial loop and the ``--jobs`` process pool) run
+the same unit of work, a :class:`CellGroup` of one chunk's unfinished
+cells, through :func:`run_group`.  Backends advertising the
 program-major ``simulate_suite`` fast path (see
 :func:`repro.runtime.backend.supports_suite`) are called once per group;
 any other backend gets groups of one cell.  Either way the journal holds
@@ -51,8 +51,6 @@ import numpy as np
 
 from repro.designspace.configuration import Configuration
 from repro.obs import (
-    MetricsRegistry,
-    Tracer,
     build_manifest,
     get_logger,
     get_registry,
@@ -74,7 +72,8 @@ from .backend import (
     validate_batch,
 )
 from .integrity import array_checksum, batch_checksum
-# No caller left here; the benchmark still hooks it (ROADMAP item 4).
+# No caller left here; the benchmark still hooks it.  It goes when the
+# benchmark hooks commit_group instead (ROADMAP item 1).
 from .integrity import file_checksum  # noqa: F401
 from .journal import CampaignJournal
 from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy, call_with_retry
@@ -93,10 +92,10 @@ _log = get_logger(__name__)
 
 @dataclass(frozen=True)
 class CellGroup:
-    """The unfinished cells of one chunk: the unit every executor runs.
+    """The unfinished cells of one chunk: the unit both executors run.
 
-    The serial loop, the process pool and the distributed worker all
-    hand groups to :func:`run_group`.  A backend with the program-major
+    The serial loop and the process pool both hand groups to
+    :func:`run_group`.  A backend with the program-major
     ``simulate_suite`` path simulates a whole group in one call; any
     other backend gets groups of exactly one cell.
 
@@ -142,10 +141,7 @@ def run_group(
     breaker: Optional[CircuitBreaker] = None,
     sleep=None,
     clock=None,
-    tracer: Optional[Tracer] = None,
-    registry: Optional[MetricsRegistry] = None,
     capture: bool = False,
-    **span_attrs,
 ) -> GroupOutcome:
     """Simulate one group behind one retry loop.
 
@@ -166,20 +162,17 @@ def run_group(
             default.
         sleep: Backoff sleep hook.
         clock: Timeout-guard clock hook.
-        tracer: Where spans go (the current global tracer by default).
-        registry: Where the latency goes (the current global registry
-            by default).
         capture: Record into a fresh registry and tracer and return
             their contents as :attr:`GroupOutcome.telemetry` (a process
-            pool child's globals die with the process).
-        **span_attrs: Extra attributes for every span.
+            pool child's globals die with the process); otherwise
+            record into the current global registry and tracer.
     """
     with contextlib.ExitStack() as stack:
         if capture:
             registry = stack.enter_context(scoped_registry())
             tracer = stack.enter_context(scoped_tracer())
-        tracer = tracer if tracer is not None else get_tracer()
-        registry = registry if registry is not None else get_registry()
+        else:
+            registry, tracer = get_registry(), get_tracer()
         attempts = 0
 
         def attempt() -> List[BatchResult]:
@@ -207,7 +200,7 @@ def run_group(
         start = time.perf_counter()
         with tracer.span(
             "simulate.chunk", program=group.profiles[0].name,
-            chunk=group.chunk_index, **span_attrs,
+            chunk=group.chunk_index,
         ) as first:
             try:
                 batches = call_with_retry(
@@ -234,7 +227,7 @@ def run_group(
         for profile in group.profiles[1:]:
             with tracer.span(
                 "simulate.chunk", program=profile.name,
-                chunk=group.chunk_index, **span_attrs,
+                chunk=group.chunk_index,
             ) as served:
                 if served is not None:
                     served["attrs"].update(attempts=0, outcome=outcome)
@@ -268,10 +261,10 @@ class CampaignCell:
 class CampaignPlan:
     """The resolved shape of a campaign before any cell is simulated.
 
-    Produced by :meth:`CampaignRunner.plan` and shared by every
-    execution strategy — the serial loop, the process pool and the
-    distributed coordinator all iterate the same cells against the same
-    journal, which is what makes their outputs interchangeable.
+    Produced by :meth:`CampaignRunner.plan` and shared by both
+    execution strategies — the serial loop and the process pool iterate
+    the same cells against the same journal, which is what makes their
+    outputs interchangeable.
 
     Attributes:
         programs: Program names in campaign order.
@@ -473,7 +466,7 @@ class CampaignRunner:
         trace_start = tracer.mark()
         # One trace id per campaign: process-pool children's spans are
         # adopted trace-id-less and stamped with this on merge, so a
-        # local campaign stitches exactly like a distributed one.
+        # --jobs campaign lands in one trace like a serial one.
         tracer.ensure_trace_id()
         _log.info(
             "campaign start: %d program(s) x %d configuration(s) = "
@@ -514,9 +507,7 @@ class CampaignRunner:
         Validates the inputs, checks (or creates) the checkpoint
         manifest, reads each journalled group file once and checks every
         cell's rows against its digest — everything :meth:`run` does
-        before simulating, with no simulation.  The distributed
-        coordinator calls this to build its work queue over the same
-        checkpoint a serial run would use.
+        before simulating, with no simulation.
 
         Raises:
             ValueError: on empty inputs or an incompatible checkpoint.
@@ -956,17 +947,18 @@ class CampaignRunner:
     def store_cell(
         self, cell: str, chunk_index: int, batch: BatchResult, digest: str
     ) -> None:
-        """Commit one verified cell as a group of one (the coordinator)."""
+        """Commit one verified cell as a group of one.
+
+        No caller left in the program; the benchmark still hooks it.  It
+        goes when the benchmark hooks :meth:`commit_group` instead
+        (ROADMAP item 1).
+        """
         self.commit_group(chunk_index, [cell], [batch], [digest])
 
     def resume_cell(
         self, cell: str, batch: BatchResult, expected: int
     ) -> BatchResult:
-        """Check a verified checkpointed cell's shape before it is used.
-
-        Shared by the campaign loop and the distributed coordinator, so
-        every executor restores checkpoints identically.
-        """
+        """Check a verified checkpointed cell's shape before it is used."""
         if len(batch) != expected:
             raise ValueError(
                 f"checkpointed cell {cell} holds {len(batch)} "

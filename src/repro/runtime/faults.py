@@ -35,9 +35,9 @@ def derive_rng(*parts) -> np.random.Generator:
     Hashes the ``str()`` of every part (joined by ``/``) through
     sha256 and seeds numpy from the first eight digest bytes — the same
     derivation :class:`FaultInjectingBackend` uses per (cell, attempt),
-    exposed so other fault machinery (notably
-    :mod:`repro.distrib.chaos`) draws from streams that are pure
-    functions of their identifiers: same plan, same seed, same faults.
+    exposed so other seeded machinery (the load generator's arrivals,
+    request mixes and payload pools) draws from streams that are pure
+    functions of their identifiers: same plan, same seed, same stream.
     """
     digest = hashlib.sha256(
         b"/".join(str(part).encode("utf-8") for part in parts)

@@ -51,9 +51,8 @@ def batch_checksum(batch: BatchResult) -> str:
 
     Exactly the digest :func:`repro.runtime.artifact.payload_checksum`
     would embed when the arrays are archived.  The campaign journals it
-    for every cell, whichever executor computed the cell, and the
-    distributed wire carries it with every result so the coordinator
-    rejects arrays corrupted in transit instead of journalling them.
+    for every cell, whichever executor computed the cell, and a resume
+    re-checks each stored row against it before trusting the row.
     """
     return payload_checksum(
         {field: getattr(batch, field) for field in _BATCH_FIELDS}

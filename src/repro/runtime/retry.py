@@ -49,16 +49,9 @@ class RetryPolicy:
         base_delay: Backoff before the second attempt (seconds).
         multiplier: Backoff growth factor per further attempt.
         jitter: Uniform jitter as a fraction of the delay (0.25 means
-            the actual delay is drawn from [0.75d, 1.25d]).  Ignored
-            under ``jitter_mode="full"``.
+            the actual delay is drawn from [0.75d, 1.25d]).
         timeout: Per-call wall-clock budget in seconds; ``None``
             disables the guard.
-        jitter_mode: ``"proportional"`` (the default) jitters around
-            the exponential delay; ``"full"`` draws uniformly from
-            ``[0, d]`` (AWS full jitter) — the right choice when many
-            clients back off from the *same* moment, e.g. a whole
-            worker fleet reconnecting after a coordinator restart,
-            where proportional jitter would thundering-herd.
     """
 
     max_attempts: int = 4
@@ -66,7 +59,6 @@ class RetryPolicy:
     multiplier: float = 2.0
     jitter: float = 0.25
     timeout: Optional[float] = None
-    jitter_mode: str = "proportional"
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -79,16 +71,10 @@ class RetryPolicy:
             raise ValueError("jitter must be in [0, 1)")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        if self.jitter_mode not in ("proportional", "full"):
-            raise ValueError(
-                'jitter_mode must be "proportional" or "full"'
-            )
 
     def delay(self, attempt: int, rng: np.random.Generator) -> float:
         """Backoff before retry number ``attempt`` (1-based), jittered."""
         base = self.base_delay * self.multiplier ** (attempt - 1)
-        if self.jitter_mode == "full":
-            return base * rng.random()
         if self.jitter == 0.0:
             return base
         spread = 1.0 + self.jitter * (2.0 * rng.random() - 1.0)

@@ -14,7 +14,7 @@ Lifecycle is supervisor-shaped: the parent relays SIGTERM to every
 worker (each drains gracefully — in-flight requests answered, new
 ones 503'd), waits, and then merges each worker's final metrics
 snapshot into its own registry via the same
-:meth:`~repro.obs.MetricsRegistry.merge` machinery the distributed
+:meth:`~repro.obs.MetricsRegistry.merge` machinery the ``--jobs``
 campaign workers use — so ``--metrics-out`` after a fleet run holds
 fleet-wide totals (``serve_requests{status="200"}`` across every
 worker), plus ``serve_fleet_workers`` / ``serve_fleet_exit_codes``

@@ -1,4 +1,5 @@
-"""Declarative SLOs: config, evaluation across sources, burn rates."""
+"""Declarative SLOs: config, evaluation across sources, burn rates,
+and the Prometheus-style bucket quantile they rest on."""
 
 import json
 import math
@@ -10,7 +11,7 @@ from repro.obs import (
     MetricsView,
     SLObjective,
     SLOTracker,
-    TimeSeriesSampler,
+    histogram_quantile,
 )
 
 
@@ -30,6 +31,49 @@ def _burn(threshold=0.5, **overrides):
     )
     fields.update(overrides)
     return SLObjective(**fields)
+
+
+class TestHistogramQuantile:
+    def test_empty_histogram_is_nan(self):
+        assert math.isnan(histogram_quantile((1.0, 10.0), (0, 0, 0), 0.99))
+
+    def test_no_finite_buckets_is_nan(self):
+        # Every observation landed in +Inf and there is nothing finite
+        # to interpolate against.
+        assert math.isnan(histogram_quantile((), (5,), 0.5))
+
+    def test_single_bucket_interpolates_from_zero(self):
+        # 10 observations <= 2.0: the median interpolates to the middle
+        # of the [0, 2.0] bucket.
+        assert histogram_quantile((2.0,), (10, 0), 0.5) == pytest.approx(1.0)
+
+    def test_interpolation_across_buckets(self):
+        # 4 observations: 2 in (0,1], 2 in (1,10].  p75 ranks 3rd, i.e.
+        # halfway through the second bucket.
+        value = histogram_quantile((1.0, 10.0), (2, 2, 0), 0.75)
+        assert value == pytest.approx(5.5)
+
+    def test_rank_in_inf_bucket_clamps_to_highest_finite_bound(self):
+        # p99 ranks inside +Inf; the estimate must not exceed the
+        # highest finite bound (Prometheus semantics).
+        assert histogram_quantile((1.0, 10.0), (1, 1, 8), 0.99) == 10.0
+
+    def test_quantile_zero_and_one(self):
+        bounds, counts = (1.0, 10.0), (2, 2, 0)
+        assert histogram_quantile(bounds, counts, 0.0) == 0.0
+        assert histogram_quantile(bounds, counts, 1.0) == 10.0
+
+    def test_quantile_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="within"):
+            histogram_quantile((1.0,), (1, 0), 1.5)
+
+    def test_count_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="bucket counts"):
+            histogram_quantile((1.0, 2.0), (1, 2), 0.5)
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            histogram_quantile((1.0,), (1, -1), 0.5)
 
 
 class TestObjectiveValidation:
@@ -128,9 +172,8 @@ class TestEvaluation:
 
 
 class TestSourceAgreement:
-    """The acceptance criterion: the time-series layer, the live
-    registry and a parsed Prometheus export must all yield the same
-    SLO verdicts and (windowless) burn rates."""
+    """The live registry and a parsed Prometheus export must yield the
+    same SLO verdicts and burn rates."""
 
     def _populated_registry(self):
         registry = MetricsRegistry()
@@ -141,24 +184,20 @@ class TestSourceAgreement:
         registry.counter("requests").inc(40)
         return registry
 
-    def test_sampler_agrees_with_prometheus_export(self):
+    def test_registry_agrees_with_prometheus_export(self):
         registry = self._populated_registry()
-        sampler = TimeSeriesSampler(registry)
-        sampler.sample(now=0.0)
         tracker = SLOTracker([
             _latency(threshold=5.0, quantile=0.99),
             _burn(threshold=0.5),
         ])
-        from_sampler = tracker.evaluate(sampler)
         from_registry = tracker.evaluate(registry)
         from_text = tracker.evaluate(
             MetricsView.from_prometheus(registry.to_prometheus())
         )
-        for a, b, c in zip(from_sampler, from_registry, from_text):
-            assert a.value == pytest.approx(b.value)
-            assert b.value == pytest.approx(c.value)
-            assert a.burn == pytest.approx(c.burn)
-            assert a.ok == b.ok == c.ok
+        for live, parsed in zip(from_registry, from_text):
+            assert live.value == pytest.approx(parsed.value)
+            assert live.burn == pytest.approx(parsed.burn)
+            assert live.ok == parsed.ok
 
     def test_prometheus_round_trip_with_escaped_labels(self):
         registry = MetricsRegistry()
@@ -179,20 +218,9 @@ class TestSourceAgreement:
         view = MetricsView.from_prometheus(text)
         assert view.total("requests_total") == 10.0
 
-
-class TestGaugeExport:
-    def test_statuses_mirrored_as_gauges(self):
+    def test_from_prometheus_refuses_text_without_samples(self):
         registry = MetricsRegistry()
-        source = MetricsRegistry()
-        source.counter("errors").inc(1)
-        source.counter("requests").inc(10)
-        tracker = SLOTracker([_burn(threshold=0.5), _latency()])
-        statuses = tracker.evaluate(source)
-        tracker.export_gauges(statuses, registry)
-        assert registry.value("slo.ok", slo="burn") == 1.0
-        assert registry.value("slo.burn", slo="burn") == pytest.approx(0.2)
-        # no-data objective exports ok but neither value nor burn
-        assert registry.value("slo.ok", slo="p99") == 1.0
-        assert ("slo.value", (("slo", "p99"),)) not in dict(
-            iter(registry)
-        )
+        registry.counter("requests").inc(10)
+        with pytest.raises(ValueError, match="no Prometheus"):
+            MetricsView.from_prometheus(json.dumps(registry.to_json()))
+

@@ -94,7 +94,7 @@ class TestTraceContext:
             pass
         (record,) = tracer.spans
         assert len(record["span_id"]) == 16
-        assert "trace_id" not in record  # none bound: shape unchanged
+        assert "trace_id" not in record  # no trace id: shape unchanged
         assert "parent_id" not in record
 
     def test_nested_spans_link_parent_ids(self):
@@ -104,24 +104,6 @@ class TestTraceContext:
                 pass
         by_name = {record["name"]: record for record in tracer.spans}
         assert by_name["inner"]["parent_id"] == by_name["outer"]["span_id"]
-
-    def test_bind_stamps_remote_context_on_roots(self):
-        tracer = Tracer()
-        tracer.bind(trace_id="t" * 32, parent_id="p" * 16)
-        with tracer.span("root"):
-            with tracer.span("child"):
-                pass
-        by_name = {record["name"]: record for record in tracer.spans}
-        assert by_name["root"]["trace_id"] == "t" * 32
-        assert by_name["root"]["parent_id"] == "p" * 16
-        assert by_name["child"]["parent_id"] == by_name["root"]["span_id"]
-        assert by_name["child"]["trace_id"] == "t" * 32
-
-    def test_context_reports_innermost_open_span(self):
-        tracer = Tracer(trace_id="t" * 32)
-        assert tracer.context() == {"trace_id": "t" * 32, "span_id": None}
-        with tracer.span("open") as record:
-            assert tracer.context()["span_id"] == record["span_id"]
 
     def test_ensure_trace_id_is_sticky(self):
         tracer = Tracer()
@@ -134,7 +116,7 @@ class TestTraceContext:
 
     def test_adopt_stamps_missing_trace_id(self):
         parent = Tracer(trace_id="t" * 32)
-        old_worker = Tracer()  # pre-trace-context peer
+        old_worker = Tracer()  # a pool child never sees the trace id
         with old_worker.span("simulate.chunk"):
             pass
         new_worker = Tracer(trace_id="u" * 32)
@@ -144,15 +126,6 @@ class TestTraceContext:
         parent.adopt(new_worker.spans)
         stamped = [record["trace_id"] for record in parent.spans]
         assert stamped == ["t" * 32, "u" * 32]
-
-    def test_lane_stamped_on_every_span(self):
-        tracer = Tracer(lane="worker-1")
-        with tracer.span("a"):
-            pass
-        tracer.record("b", 0.1)
-        assert [record["lane"] for record in tracer.spans] == [
-            "worker-1", "worker-1",
-        ]
 
 
 class TestTruncationMarkers:
@@ -253,26 +226,10 @@ class TestChromeExport:
         lines = path.read_text().splitlines()
         assert json.loads(lines[0])["name"] == "a"
 
-    def test_lanes_become_named_process_rows(self):
-        parent = Tracer(trace_id="t" * 32)
-        for worker_id in ("vm-b", "vm-a"):
-            worker = Tracer(lane=worker_id)
-            with worker.span("simulate.chunk"):
-                pass
-            parent.adopt(worker.spans)
-        events = parent.to_chrome_events()
-        meta = [event for event in events if event["ph"] == "M"]
-        assert [m["args"]["name"] for m in meta] == ["vm-a", "vm-b"]
-        pids = {m["args"]["name"]: m["pid"] for m in meta}
-        spans = [event for event in events if event["ph"] == "X"]
-        lanes_seen = sorted(event["pid"] for event in spans)
-        assert lanes_seen == sorted(pids.values())
-        assert len(set(pids.values())) == 2
-
     def test_trace_ids_ride_in_args_only_when_present(self):
         tracer = Tracer()
         tracer.record("plain", 0.1, program="gzip")
-        tracer.bind(trace_id="t" * 32)
+        trace_id = tracer.ensure_trace_id()
         tracer.record("traced", 0.1)
         plain, traced = (
             event
@@ -280,7 +237,7 @@ class TestChromeExport:
             if event["ph"] == "X"
         )
         assert plain["args"] == {"program": "gzip"}
-        assert traced["args"]["trace_id"] == "t" * 32
+        assert traced["args"]["trace_id"] == trace_id
         assert "span_id" in traced["args"]
 
 

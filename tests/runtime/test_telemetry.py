@@ -204,28 +204,18 @@ class TestParallelParity:
     def test_executors_emit_equal_chunk_telemetry(
         self, backend, tiny_suite, tiny_configs, tmp_path
     ):
-        """Serial, ``--jobs 2`` and a one-worker distributed campaign
-        over the suite backend emit one ``simulate.chunk`` span per
-        simulated cell and one ``campaign.chunk.seconds`` observation
-        per backend call.  Two programs, so a worker's bundle of two
-        cells holds one whole chunk, as the serial loop's group does."""
-        from tests.distrib.test_distributed_campaign import distributed
-
+        """Serial and ``--jobs 2`` campaigns over the suite backend emit
+        one ``simulate.chunk`` span per simulated cell and one
+        ``campaign.chunk.seconds`` observation per backend call."""
         programs = tiny_suite.subset(("gzip", "applu"))
         counts = {}
-        for label in ("serial", "jobs2", "distributed"):
+        for label in ("serial", "jobs2"):
             runner = CampaignRunner(
                 backend, tmp_path / label, chunk_size=16,
                 n_jobs=2 if label == "jobs2" else 1,
             )
             with scoped_registry() as registry, scoped_tracer() as tracer:
-                if label == "distributed":
-                    _, result = distributed(
-                        runner, programs, tiny_configs, n_workers=1,
-                        backend_factory=lambda: backend,
-                    )
-                else:
-                    result = runner.run(programs, tiny_configs)
+                result = runner.run(programs, tiny_configs)
                 assert result.complete
                 counts[label] = {
                     "simulated": result.simulated_cells,
@@ -235,7 +225,7 @@ class TestParallelParity:
                     ).count,
                     "attempts": result.attempts,
                 }
-        assert counts["serial"] == counts["jobs2"] == counts["distributed"]
+        assert counts["serial"] == counts["jobs2"]
         assert counts["serial"]["spans"] == counts["serial"]["simulated"]
         assert counts["serial"]["chunk.count"] == counts["serial"]["attempts"]
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -427,6 +428,122 @@ class TestLoadArguments:
         assert "not healthy" in capsys.readouterr().err
 
 
+class TestHostPortArgument:
+    @pytest.mark.parametrize("text", [
+        "127.0.0.1:70000", "127.0.0.1:105881", "127.0.0.1:0",
+        "127.0.0.1:\u00b2", "127.0.0.1:", ":8000", "nonsense",
+    ])
+    def test_bad_address_refused(self, text):
+        from repro.cli import _host_port_arg
+
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="expected HOST:PORT"):
+            _host_port_arg(text)
+
+    def test_port_range_edges_accepted(self):
+        from repro.cli import _host_port_arg
+
+        assert _host_port_arg("127.0.0.1:1") == ("127.0.0.1", 1)
+        assert _host_port_arg("::1:65535") == ("::1", 65535)
+
+    def test_load_refuses_a_wrapping_port_before_connecting(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({
+            "seed": 1,
+            "stages": [{"name": "s", "duration": 1.0, "rate": 5.0}],
+        }))
+        with pytest.raises(SystemExit) as stopped:
+            main(["load", "--plan", str(path),
+                  "--target", "127.0.0.1:70000"])
+        assert stopped.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected HOST:PORT" in err
+        assert "not healthy" not in err
+
+
+class TestSloCheck:
+    """``repro slo check`` evaluates a Prometheus export and turns the
+    verdict into the exit code."""
+
+    @staticmethod
+    def _inputs(tmp_path, errors):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        registry.counter("errors").inc(errors)
+        registry.counter("requests").inc(10)
+        metrics = registry.write(tmp_path / "metrics.prom")
+        objectives = tmp_path / "slo.json"
+        objectives.write_text(json.dumps({"objectives": [
+            {"name": "error-rate", "kind": "error_rate",
+             "numerator": "errors", "denominator": "requests",
+             "threshold": 0.5},
+        ]}))
+        return str(objectives), str(metrics)
+
+    def test_metrics_export_is_required(self, tmp_path, capsys):
+        objectives, _ = self._inputs(tmp_path, errors=1)
+        with pytest.raises(SystemExit) as stopped:
+            main(["slo", "check", "--objectives", objectives])
+        assert stopped.value.code == 2
+        assert "--metrics" in capsys.readouterr().err
+
+    def test_passing_export_exits_0(self, tmp_path, capsys):
+        objectives, metrics = self._inputs(tmp_path, errors=1)
+        assert main(["slo", "check", "--objectives", objectives,
+                     "--metrics", metrics]) == 0
+        out = capsys.readouterr().out
+        assert "error-rate" in out and "burn 0.20x" in out
+        assert "all objectives ok" in out
+
+    def test_violating_export_exits_1(self, tmp_path, capsys):
+        objectives, metrics = self._inputs(tmp_path, errors=8)
+        assert main(["slo", "check", "--objectives", objectives,
+                     "--metrics", metrics]) == 1
+        assert "VIOLATED" in capsys.readouterr().out
+        assert main(["slo", "check", "--objectives", objectives,
+                     "--metrics", metrics, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert payload["objectives"][0]["burn"] == pytest.approx(1.6)
+
+    def test_unreadable_metrics_exits_2(self, tmp_path, capsys):
+        objectives, _ = self._inputs(tmp_path, errors=1)
+        assert main(["slo", "check", "--objectives", objectives,
+                     "--metrics", str(tmp_path / "missing.prom")]) == 2
+        assert "slo metrics error" in capsys.readouterr().err
+
+    def test_json_export_exits_2_not_ok(self, tmp_path, capsys):
+        """A JSON ``--metrics-out`` file holds no Prometheus samples;
+        read as one, every objective would pass with no data."""
+        from repro.obs import MetricsRegistry
+
+        objectives, _ = self._inputs(tmp_path, errors=8)
+        registry = MetricsRegistry()
+        registry.counter("errors").inc(8)
+        registry.counter("requests").inc(10)
+        metrics = registry.write(tmp_path / "metrics.json")
+        assert main(["slo", "check", "--objectives", objectives,
+                     "--metrics", str(metrics)]) == 2
+        assert "no Prometheus text samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        json.dumps({"objectives": [
+            {"name": "x", "kind": "vibes", "threshold": 1.0},
+        ]}),
+    ])
+    def test_bad_objectives_exit_2(self, tmp_path, capsys, text):
+        _, metrics = self._inputs(tmp_path, errors=1)
+        objectives = tmp_path / "bad.json"
+        objectives.write_text(text)
+        assert main(["slo", "check", "--objectives", str(objectives),
+                     "--metrics", metrics]) == 2
+        assert "slo config error" in capsys.readouterr().err
+
+
 class TestServeSigterm:
     """End to end: serve a saved artifact in a subprocess, answer a
     request, SIGTERM it, and check the graceful path ran — clean exit
@@ -531,119 +648,3 @@ class TestVersion:
         err = capsys.readouterr().err
         assert __version__ in err
         assert "cli.start" in err or "repro" in err
-
-
-class TestDistributedCli:
-    """Coordinator + worker over loopback, driven through main()."""
-
-    @pytest.fixture(autouse=True)
-    def _isolate_telemetry(self):
-        from repro.obs import scoped_registry, scoped_tracer
-
-        with scoped_registry(), scoped_tracer():
-            yield
-
-    @staticmethod
-    def _free_port() -> int:
-        import socket
-
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            return probe.getsockname()[1]
-
-    def test_distributed_flag_requires_checkpoint_dir(self, capsys):
-        code = main(
-            ["simulate", "--program", "gzip",
-             "--distributed", "127.0.0.1:7650"]
-        )
-        assert code == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
-
-    def test_coordinator_requires_checkpoint_dir(self, capsys):
-        assert main(["coordinator", "--program", "gzip"]) == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
-
-    def test_worker_bad_address_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["worker", "--connect", "nonsense"])
-
-    def test_worker_gives_up_when_no_coordinator(self, capsys):
-        port = self._free_port()
-        code = main(
-            ["worker", "--connect", f"127.0.0.1:{port}",
-             "--connect-timeout", "0.3"]
-        )
-        assert code == 1
-        assert "could not reach coordinator" in capsys.readouterr().err
-
-    def test_coordinator_and_worker_complete_a_campaign(
-        self, tmp_path, capsys
-    ):
-        import threading
-
-        port = self._free_port()
-        checkpoint = tmp_path / "ckpt"
-        outcome = {}
-
-        def run_coordinator():
-            outcome["code"] = main(
-                ["coordinator", "--checkpoint-dir", str(checkpoint),
-                 "--program", "gzip", "--samples", "48",
-                 "--chunk-size", "16", "--port", str(port)]
-            )
-
-        thread = threading.Thread(target=run_coordinator, daemon=True)
-        thread.start()
-        worker_code = main(["worker", "--connect", f"127.0.0.1:{port}"])
-        thread.join(timeout=120)
-        assert not thread.is_alive(), "coordinator never finished"
-        assert outcome["code"] == 0
-        assert worker_code == 0
-        out = capsys.readouterr().out
-        assert "3 chunk(s) simulated" in out
-        assert "worker    : 3 chunk(s) completed" in out
-        assert (checkpoint / "journal.jsonl").exists()
-        assert (checkpoint / "run_manifest.json").exists()
-
-    def test_simulate_distributed_matches_serial_journal(
-        self, tmp_path, capsys
-    ):
-        import json as json_module
-        import threading
-
-        def journal_sums(path):
-            return {
-                record["cell"]: record["checksum"]
-                for record in (
-                    json_module.loads(line)
-                    for line in path.read_text().splitlines()
-                )
-                if "cell" in record
-            }
-
-        serial_ckpt = tmp_path / "serial"
-        assert main(
-            ["simulate", "--program", "gzip", "--samples", "48",
-             "--chunk-size", "16", "--checkpoint-dir", str(serial_ckpt)]
-        ) == 0
-
-        port = self._free_port()
-        dist_ckpt = tmp_path / "dist"
-        outcome = {}
-
-        def run_distributed():
-            outcome["code"] = main(
-                ["simulate", "--program", "gzip", "--samples", "48",
-                 "--chunk-size", "16", "--checkpoint-dir", str(dist_ckpt),
-                 "--distributed", f"127.0.0.1:{port}"]
-            )
-
-        thread = threading.Thread(target=run_distributed, daemon=True)
-        thread.start()
-        assert main(["worker", "--connect", f"127.0.0.1:{port}"]) == 0
-        thread.join(timeout=120)
-        assert not thread.is_alive()
-        assert outcome["code"] == 0
-        assert journal_sums(dist_ckpt / "journal.jsonl") == journal_sums(
-            serial_ckpt / "journal.jsonl"
-        )

@@ -19,7 +19,6 @@ PACKAGES = (
     "repro.analysis",
     "repro.core",
     "repro.designspace",
-    "repro.distrib",
     "repro.exploration",
     "repro.ml",
     "repro.obs",

@@ -39,3 +39,23 @@ class TestPublicApi:
         import repro.sim
         import repro.sim.pipeline
         import repro.workloads
+
+    def test_non_serving_packages_do_not_import_asyncio(self):
+        """Campaign and leave-one-out processes never load ``asyncio``:
+        only ``repro.serve`` and ``repro.load`` need it."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src_dir = pathlib.Path(repro.__file__).resolve().parents[1]
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "import repro.runtime, repro.core, repro.exploration, "
+             "repro.cli\n"
+             "print('asyncio' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src_dir)},
+        )
+        assert probe.stdout.strip() == "False"

@@ -937,6 +937,15 @@ def _cmd_load(args: argparse.Namespace) -> int:
         return 2
     if args.seed is not None:
         plan = plan.with_seed(args.seed)
+    tracker = None
+    if args.slo_config:
+        from repro.obs import SLOTracker
+
+        try:
+            tracker = SLOTracker.from_config(args.slo_config)
+        except (OSError, ValueError) as error:
+            print(f"slo config error: {error}", file=sys.stderr)
+            return 2
     host, port = args.target
 
     # Preflight: fail fast with a clear message when nothing is
@@ -973,14 +982,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
         print(f"report    : {args.report_out}", file=sys.stderr)
 
     failed = False
-    if args.slo_config:
-        from repro.obs import SLOTracker
-
-        try:
-            tracker = SLOTracker.from_config(args.slo_config)
-        except (OSError, ValueError) as error:
-            print(f"slo config error: {error}", file=sys.stderr)
-            return 2
+    if tracker is not None:
         ok, statuses = tracker.check(get_registry())
         for status in statuses:
             verdict = "ok      " if status.ok else "VIOLATED"

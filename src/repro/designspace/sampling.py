@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .configuration import Configuration
-from .space import DesignSpace
+from .space import DesignSpace, meets_constraints
 
 
 def _rng(seed: Optional[int] | np.random.Generator) -> np.random.Generator:
@@ -50,22 +50,16 @@ def sample_configurations(
         raise ValueError("count must be non-negative")
     rng = _rng(seed)
     grids = [parameter.values for parameter in space.parameters]
-    names = [parameter.name for parameter in space.parameters]
     chosen: List[Configuration] = []
     seen = set()
-    # Draw in vectorised batches; rejection keeps the legal subset.
+    # Draw in vectorised batches; rejection keeps the legal rows, in
+    # draw order.
     batch = max(64, 4 * count)
     while len(chosen) < count:
-        columns = {
-            name: rng.choice(grid, size=batch)
-            for name, grid in zip(names, grids)
-        }
-        for i in range(batch):
-            config = Configuration(
-                **{name: int(columns[name][i]) for name in names}
-            )
-            if not space.satisfies_constraints(config):
-                continue
+        columns = [rng.choice(grid, size=batch) for grid in grids]
+        legal = meets_constraints(columns)
+        for row in np.column_stack([column[legal] for column in columns]):
+            config = Configuration(*row.tolist())
             if unique:
                 if config in seen:
                     continue
@@ -148,17 +142,14 @@ def corner_biased_sample(
         raise ValueError("corner_fraction must be in [0, 1]")
     rng = _rng(seed)
     result: List[Configuration] = []
-    names = [p.name for p in space.parameters]
     while len(result) < count:
-        values = {}
-        for parameter in space.parameters:
-            if rng.random() < corner_fraction:
-                values[parameter.name] = int(
-                    rng.choice((parameter.minimum, parameter.maximum))
-                )
-            else:
-                values[parameter.name] = int(rng.choice(parameter.values))
-        config = Configuration(**{name: values[name] for name in names})
-        if space.satisfies_constraints(config):
-            result.append(config)
+        values = [
+            int(rng.choice(
+                (p.minimum, p.maximum) if rng.random() < corner_fraction
+                else p.values
+            ))
+            for p in space.parameters
+        ]
+        if meets_constraints(values):
+            result.append(Configuration(*values))
     return result

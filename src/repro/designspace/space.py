@@ -68,22 +68,37 @@ def table1_parameters() -> Tuple[Parameter, ...]:
     )
 
 
-class DesignSpace:
-    """The legal microarchitectural design space.
+def meets_constraints(values):
+    """The legality constraints of :class:`DesignSpace`, stated once.
 
-    Legality constraints (the paper names the first explicitly; the rest
-    are the analogous "architectural sense" filters needed to reach the
-    reported ~18 billion legal points):
-
-    * ``rob_size >= iq_size`` — instructions in the issue queue occupy
-      reorder-buffer slots.
-    * ``rob_size >= lsq_size`` — likewise for the load/store queue.
-    * ``rf_read_ports <= 2 * width`` — a width-``w`` machine can consume
-      at most ``2w`` operand reads per cycle.
-    * ``rf_write_ports <= width`` — at most ``w`` results written back.
-    * ``l2cache_kb >= 8 * max(icache_kb, dcache_kb)`` — the unified L2
-      must meaningfully back the L1s.
+    The paper names the first; the rest are the analogous "architectural
+    sense" filters that leave its ~18 billion legal points.  ``values``
+    holds the 13 parameters in canonical order: one configuration's
+    value tuple (giving a ``bool``) or 13 value columns (giving a mask).
     """
+    (width, rob, iq, lsq, _rf, read_ports, write_ports, _gshare, _btb,
+     _branches, icache, dcache, l2) = values
+    return (
+        (rob >= iq)  # issue-queue entries occupy reorder-buffer slots,
+        & (rob >= lsq)  # and so do load/store-queue entries
+        & (read_ports <= 2 * width)  # two operand reads per issue slot
+        & (write_ports <= width)  # one result written back per slot
+        & (l2 >= 8 * icache)  # the unified L2 meaningfully backs the L1s
+        & (l2 >= 8 * dcache)
+    )
+
+
+#: Table 1's encoding divisors and smallest and largest grid values: the
+#: frame of :meth:`DesignSpace.unit_cube`.
+_DIVISORS, _MINIMA, _MAXIMA = np.array(
+    [(p.encoding_divisor, p.minimum, p.maximum) for p in table1_parameters()],
+    dtype=float,
+).T
+
+
+class DesignSpace:
+    """The legal microarchitectural design space: 13 value grids whose
+    cross product is filtered by :func:`meets_constraints`."""
 
     def __init__(self, parameters: Sequence[Parameter] | None = None) -> None:
         self._parameters: Tuple[Parameter, ...] = tuple(
@@ -186,13 +201,7 @@ class DesignSpace:
 
     def satisfies_constraints(self, config: Configuration) -> bool:
         """True if the configuration makes architectural sense."""
-        return (
-            config.rob_size >= config.iq_size
-            and config.rob_size >= config.lsq_size
-            and config.rf_read_ports <= 2 * config.width
-            and config.rf_write_ports <= config.width
-            and config.l2cache_kb >= 8 * max(config.icache_kb, config.dcache_kb)
-        )
+        return meets_constraints(config.values())
 
     def is_legal(self, config: Configuration) -> bool:
         """True if the configuration is on the grid and legal."""
@@ -209,6 +218,37 @@ class DesignSpace:
                 )
         if not self.satisfies_constraints(config):
             raise ValueError(f"configuration violates legality constraints: {config}")
+
+    def validate_many(self, configs: Sequence[Configuration]) -> np.ndarray:
+        """Validate a batch and return its (m, 13) float value matrix.
+
+        The batch form of :meth:`validate`.  The error names the first
+        offending configuration, by index and then parameter order:
+        ``config[i]: `` and :meth:`validate`'s message for a value off
+        its grid, else ``config[i] violates legality constraints: ...``.
+        """
+        values = np.array([config.values() for config in configs])
+        if values.dtype.kind not in "biuf" or not all(
+            np.isin(column, p.values).all()
+            for column, p in zip(values.astype(float).T, self._parameters)
+        ):
+            # Name the first value off its grid by validate's own rule,
+            # ``value in parameter.values``; a string or None lands here.
+            for index, config in enumerate(configs):
+                if not self.is_on_grid(config):
+                    try:
+                        self.validate(config)
+                    except ValueError as error:
+                        raise ValueError(f"config[{index}]: {error}") from None
+        values = values.astype(float).reshape(len(configs), self.dimensions)
+        legal = meets_constraints(values.T)
+        if not legal.all():
+            index = int(np.argmin(legal))
+            raise ValueError(
+                f"config[{index}] violates legality constraints: "
+                f"{configs[index]}"
+            )
+        return values
 
     # ------------------------------------------------------------------
     # Baseline and encoding
@@ -278,6 +318,14 @@ class DesignSpace:
         )
         return lo, hi
 
+    @staticmethod
+    def unit_cube(values: np.ndarray) -> np.ndarray:
+        """Place an (m, 13) value matrix in Table 1's unit cube, encoded
+        and scaled so each grid's smallest value is 0 and its largest 1.
+        Every space, restricted or not, shares Table 1's frame."""
+        low = _MINIMA / _DIVISORS
+        return (values / _DIVISORS - low) / (_MAXIMA / _DIVISORS - low)
+
     def enumerate(self, limit: int = 1_000_000):
         """Yield every legal configuration of the space, in grid order.
 
@@ -299,12 +347,10 @@ class DesignSpace:
                 f"space has {self.legal_size:,} legal points, above the "
                 f"enumeration limit of {limit:,}; restrict it first"
             )
-        names = [p.name for p in self._parameters]
         grids = [p.values for p in self._parameters]
-        for combo in itertools.product(*grids):
-            config = Configuration(**dict(zip(names, combo)))
-            if self.satisfies_constraints(config):
-                yield config
+        for values in itertools.product(*grids):
+            if meets_constraints(values):
+                yield Configuration(*values)
 
     def neighbours(self, config: Configuration) -> List[Configuration]:
         """All legal single-parameter-step neighbours of ``config``.

@@ -183,12 +183,30 @@ class SLObjective:
             "numerator", "denominator", "labels", "numerator_labels",
             "denominator_labels", "description",
         }
+        name = raw.get("name", "?")
         unknown = set(raw) - known
         if unknown:
             raise ValueError(
-                f"objective {raw.get('name', '?')!r} has unknown "
-                f"key(s): {sorted(unknown)}"
+                f"objective {name!r} has unknown key(s): {sorted(unknown)}"
             )
+        for key in ("threshold", "quantile"):
+            value = raw.get(key, 0.0)
+            # float() would take "inf" and true.
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ValueError(
+                    f"objective {name!r}: {key} must be a finite number, "
+                    f"got {value!r}"
+                )
+        for key in ("labels", "numerator_labels", "denominator_labels"):
+            labels = raw.get(key)
+            if labels is not None and not (
+                isinstance(labels, Mapping)
+                and all(isinstance(v, str) for v in labels.values())
+            ):
+                raise ValueError(
+                    f"objective {name!r}: {key} must be an object of "
+                    f"strings, got {labels!r}"
+                )
         return cls(
             name=str(raw.get("name", "")),
             kind=str(raw.get("kind", "")),

@@ -77,6 +77,8 @@ class PredictionClient:
             ServerError: on any non-200 response (status 503 carries
                 ``retry_after`` when the server is saturated, and
                 ``request_id`` for correlation with the server log).
+            ValueError: before anything is sent, for a value that
+                ``int()`` would change, such as ``4.9``.
         """
         payload = self._request(
             "POST", "/predict",
@@ -215,8 +217,16 @@ def _float_or_none(text: Optional[str]) -> Optional[float]:
 
 def _jsonable(config: ConfigLike):
     if isinstance(config, dict):
-        return {name: int(value) for name, value in config.items()}
+        return {name: _integer(value) for name, value in config.items()}
     if hasattr(config, "values") and callable(config.values):
         # A Configuration object: send its canonical tuple.
-        return [int(v) for v in config.values()]
-    return [int(v) for v in config]
+        return [_integer(v) for v in config.values()]
+    return [_integer(v) for v in config]
+
+
+def _integer(value) -> int:
+    """``int(value)``, refusing a value it would change, such as ``4.9``."""
+    number = int(value)
+    if number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number

@@ -12,7 +12,9 @@ Endpoints:
 
 * ``POST /predict`` — body ``{"configs": [...]}`` where each entry is
   either a 13-integer list in Table 1 order or a ``{parameter: value}``
-  mapping (missing parameters take the baseline value).  A single
+  mapping (missing parameters take the baseline value).  Values are
+  integers on the grid; ``4.0`` passes as ``4``, while a boolean, a
+  string or a non-integral or non-finite number gets ``400``.  A single
   ``{"config": ...}`` object is accepted as shorthand.  Response:
   ``{"metric": ..., "predictions": [...], "model": {...}}``.
 * ``POST /search`` — body ``{"agent": ..., "budget": ..., "seed": ...}``
@@ -520,8 +522,10 @@ class PredictionServer:
                 )
             try:
                 overrides = {name: int(value) for name, value in raw.items()}
+                if overrides != raw or bool in map(type, raw.values()):
+                    raise _inexact(raw.items())
                 config = self._space.baseline.replace(**overrides)
-            except (TypeError, ValueError) as error:
+            except (TypeError, ValueError, OverflowError) as error:
                 raise BadRequest(
                     f"bad configuration values: {error}"
                 ) from error
@@ -532,10 +536,11 @@ class PredictionServer:
                     f"{len(PARAMETER_ORDER)} values, got {len(raw)}"
                 )
             try:
-                config = Configuration.from_values(
-                    tuple(int(v) for v in raw)
-                )
-            except (TypeError, ValueError) as error:
+                values = list(map(int, raw))
+                if values != raw or bool in map(type, raw):
+                    raise _inexact(zip(PARAMETER_ORDER, raw))
+                config = Configuration.from_values(tuple(values))
+            except (TypeError, ValueError, OverflowError) as error:
                 raise BadRequest(
                     f"bad configuration values: {error}"
                 ) from error
@@ -549,6 +554,15 @@ class PredictionServer:
         except ValueError as error:
             raise BadRequest(f"illegal configuration: {error}") from error
         return config
+
+
+def _inexact(pairs) -> ValueError:
+    """The error naming the first value that ``int()`` would change."""
+    name, value = next(
+        (name, value) for name, value in pairs
+        if type(value) is bool or int(value) != value
+    )
+    return ValueError(f"{name}={value!r} is not an integer")
 
 
 # ----------------------------------------------------------------------

@@ -38,18 +38,18 @@ and clock power integrated over the elapsed cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NoReturn, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.designspace.configuration import Configuration
+from repro.designspace.configuration import PARAMETER_ORDER, Configuration
 from repro.designspace.space import DesignSpace
 from repro.workloads.profile import WorkloadProfile
 
 from . import energy as energy_model
 from .branch import branch_penalties
 from .caches import effective_capacity, effective_miss_ratios
-from .machine import FixedParameters
+from .machine import FixedParameters, functional_units
 from .metrics import Metric, derive_metrics
 
 #: Instructions per I-cache line fetch (32-byte lines, 4-byte insns).
@@ -107,10 +107,11 @@ class _Columns:
 
     Built once per batch by :meth:`IntervalSimulator._columns` and shared
     by every program's pass: the raw parameter columns (indexable by
-    parameter name), the unit-cube coordinates the idiosyncrasy terms
-    read, the width-scaled functional-unit counts (Table 2b), the
-    caches' effective capacities in bytes, every structure's per-access
-    energy, and the leakage plus clock energy charged per cycle.
+    parameter name), the coordinates in Table 1's unit cube that the
+    idiosyncrasy terms read, the width-scaled functional-unit counts
+    (Table 2b), the caches' effective capacities in bytes, every
+    structure's per-access energy, and the leakage plus clock energy
+    charged per cycle.
     """
 
     values: Dict[str, np.ndarray]
@@ -134,20 +135,6 @@ class IntervalSimulator:
     ) -> None:
         self.space = space if space is not None else DesignSpace()
         self.fixed = fixed if fixed is not None else FixedParameters()
-        # Space-invariant tables for the vectorised column build: the
-        # value grids (as float arrays for np.isin), the feature
-        # encoding divisors, and the unit-cube scaling bounds.
-        parameters = self.space.parameters
-        self._param_names = tuple(p.name for p in parameters)
-        self._grids = tuple(
-            np.asarray(p.values, dtype=float) for p in parameters
-        )
-        self._divisors = np.array(
-            [p.encoding_divisor for p in parameters], dtype=float
-        )
-        lo, hi = self.space.feature_bounds()
-        self._unit_lo = lo
-        self._unit_span = hi - lo
 
     # ------------------------------------------------------------------
     # Public API
@@ -171,11 +158,7 @@ class IntervalSimulator:
         self, profile: WorkloadProfile, configs: Sequence[Configuration]
     ) -> BatchResult:
         """Simulate a batch of configurations in one vectorised pass."""
-        if not configs:
-            empty = np.empty(0)
-            return BatchResult(empty, empty.copy(), empty.copy(), empty.copy())
-        columns = self._columns(configs)
-        return self._batch_from_columns(profile, columns)
+        return self.simulate_suite([profile], configs)[0]
 
     def simulate_suite(
         self,
@@ -189,20 +172,11 @@ class IntervalSimulator:
         everything that reads the configurations alone: raw values,
         unit-cube coordinates, functional-unit counts, effective cache
         capacities, per-access energies, and leakage plus clock energy
-        per cycle.  Terms that
-        read the program alone (the idiosyncrasies' seeded bump draws)
-        are cached per program across calls.  Each program's pass then
-        holds only the arithmetic that reads both.  Results are
-        bit-identical to calling :meth:`simulate_batch` per profile.
+        per cycle.  Terms that read the program alone (the
+        idiosyncrasies' seeded bump draws) are cached per program across
+        calls.  Each program's pass then holds only the arithmetic that
+        reads both.
         """
-        profiles = list(profiles)
-        if not configs:
-            return [
-                BatchResult(
-                    np.empty(0), np.empty(0), np.empty(0), np.empty(0)
-                )
-                for _ in profiles
-            ]
         columns = self._columns(configs)
         return [
             self._batch_from_columns(profile, columns)
@@ -227,67 +201,23 @@ class IntervalSimulator:
     def _columns(self, configs: Sequence[Configuration]) -> _Columns:
         """Validate a batch and evaluate its configuration-only terms.
 
-        One vectorised pass: the raw value matrix is built from each
-        configuration's canonical tuple, grid membership and the
-        legality constraints are checked with array operations (the
-        error names the offending configuration index), and the feature
-        encoding divides by the per-parameter divisors — exactly
-        :meth:`Parameter.encode` without the per-config Python loops.
-        Every other term that reads the configurations alone is then
-        evaluated once for the whole batch (see :class:`_Columns`).
+        :meth:`DesignSpace.validate_many` checks the batch (its error
+        names the offending configuration index) and returns the raw
+        value matrix.  Every term that reads the configurations alone
+        is then evaluated once for the whole batch (see
+        :class:`_Columns`).
         """
-        raw = np.array([c.values() for c in configs])
-        if raw.dtype.kind not in "biuf":
-            # A value numpy cannot hold as a number (a string, None):
-            # find the first one off the grid by the rule validate uses.
-            self._scan_grid(configs)
-        raw = raw.astype(float).reshape(len(configs), len(self._param_names))
-        # Batched grid validation, reported in canonical scan order
-        # (lowest config index first, then parameter order).
-        bad_config = None
-        for j, grid in enumerate(self._grids):
-            on_grid = np.isin(raw[:, j], grid)
-            if not on_grid.all():
-                index = int(np.argmin(on_grid))
-                if bad_config is None or index < bad_config[0]:
-                    bad_config = (index, j)
-        if bad_config is not None:
-            self._refuse_off_grid(configs, *bad_config)
-        values = {
-            name: raw[:, j] for j, name in enumerate(self._param_names)
-        }
-        legal = (
-            (values["rob_size"] >= values["iq_size"])
-            & (values["rob_size"] >= values["lsq_size"])
-            & (values["rf_read_ports"] <= 2.0 * values["width"])
-            & (values["rf_write_ports"] <= values["width"])
-            & (
-                values["l2cache_kb"]
-                >= 8.0 * np.maximum(values["icache_kb"], values["dcache_kb"])
-            )
-        )
-        if not legal.all():
-            index = int(np.argmin(legal))
-            raise ValueError(
-                f"config[{index}] violates legality constraints: "
-                f"{configs[index]}"
-            )
+        raw = self.space.validate_many(configs)
+        values = dict(zip(PARAMETER_ORDER, raw.T))
         fixed, e = self.fixed, energy_model
         width = values["width"]
-        half = np.maximum(1.0, np.ceil(width / 2.0))
-        units = {
-            "int_alu": width,
-            "int_mul": half,
-            "fp_alu": half,
-            "fp_mul": np.maximum(1.0, np.ceil(width / 4.0)),
-            "dcache_ports": half,
-        }
+        units = functional_units(width)
         area = e.core_area(values, units)
         leakage = area * e.LEAKAGE_PER_AREA
         clock = e.CLOCK_ENERGY_COEFF * np.sqrt(area) * width
         return _Columns(
             values=values,
-            unit=(raw / self._divisors - self._unit_lo) / self._unit_span,
+            unit=DesignSpace.unit_cube(raw),
             units=units,
             capacity={
                 "icache": effective_capacity(
@@ -302,24 +232,6 @@ class IntervalSimulator:
             },
             energies=e.structure_energies(values, fixed),
             overhead_per_cycle=leakage + clock,
-        )
-
-    def _scan_grid(self, configs: Sequence[Configuration]) -> None:
-        """Refuse the first value off its grid by
-        :meth:`DesignSpace.validate`'s rule, ``value in parameter.values``."""
-        for index, config in enumerate(configs):
-            for j, parameter in enumerate(self.space.parameters):
-                if getattr(config, parameter.name) not in parameter.values:
-                    self._refuse_off_grid(configs, index, j)
-
-    def _refuse_off_grid(
-        self, configs: Sequence[Configuration], index: int, j: int
-    ) -> NoReturn:
-        parameter = self.space.parameters[j]
-        value = getattr(configs[index], parameter.name)
-        raise ValueError(
-            f"config[{index}]: {parameter.name}={value!r} is off the "
-            f"grid {parameter.values}"
         )
 
     def _effective_window(

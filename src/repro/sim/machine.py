@@ -8,9 +8,10 @@ that Table 2(b) derives from the pipeline width — lives here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
+
+import numpy as np
 
 from repro.designspace.configuration import Configuration
 
@@ -61,21 +62,25 @@ class FixedParameters:
         ]
 
 
-def functional_units(width: int) -> Dict[str, int]:
+def functional_units(
+    width: Union[int, np.ndarray],
+) -> Dict[str, Union[int, np.ndarray]]:
     """Table 2(b): functional-unit counts scaled from the width.
 
     The paper's example: a four-way machine has four integer ALUs, two
     integer multipliers, two FP ALUs and one FP multiplier/divider.
-    Data-cache ports scale as width/2.
+    Data-cache ports scale as width/2.  Ceiling division keeps an int
+    width's counts ints and applies elementwise to an array of widths.
     """
-    if width < 1:
+    if np.any(width < 1):
         raise ValueError("width must be at least 1")
+    half = -(-width // 2)
     return {
         "int_alu": width,
-        "int_mul": max(1, math.ceil(width / 2)),
-        "fp_alu": max(1, math.ceil(width / 2)),
-        "fp_mul": max(1, math.ceil(width / 4)),
-        "dcache_ports": max(1, math.ceil(width / 2)),
+        "int_mul": half,
+        "fp_alu": half,
+        "fp_mul": -(-width // 4),
+        "dcache_ports": half,
     }
 
 

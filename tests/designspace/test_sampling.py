@@ -1,16 +1,89 @@
 """Tests for design-space sampling."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.designspace import (
+    DesignSpace,
     corner_biased_sample,
+    embedded_space,
+    restrict,
     sample_configurations,
     split_responses,
     stratified_sample,
 )
+
+
+def _digest(configs):
+    """sha256 of the sampled value tuples; ``json`` refuses anything but
+    plain ints, so the digest pins the values' type as well."""
+    payload = json.dumps([config.values() for config in configs])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _small_space():
+    """2,304 legal points: small enough to enumerate and to repeat draws."""
+    return restrict(
+        DesignSpace(),
+        width=(2, 4), rob_size=(32, 48), iq_size=(8, 24), lsq_size=(8, 16),
+        rf_size=(40, 48), rf_read_ports=(2, 4), rf_write_ports=(1, 2),
+        gshare_size=(1024, 2048), btb_size=(1024, 1024),
+        max_branches=(8, 8), icache_kb=(8, 16), dcache_kb=(8, 16),
+        l2cache_kb=(256, 256),
+    )
+
+
+class TestPinnedDraws:
+    """The draws every dataset and benchmark is built from.  The digests
+    were recorded from the per-draw sampler this one replaced."""
+
+    def test_paper_scale_draw(self):
+        sample = sample_configurations(DesignSpace(), 3000, seed=2007)
+        assert _digest(sample) == (
+            "f87bc5c91fea067e37b1ab31d976e4293c0ee2fb54f4d25c7a034ef87b846cc6"
+        )
+
+    def test_embedded_space_draw(self):
+        sample = sample_configurations(embedded_space(), 500, seed=7)
+        assert _digest(sample) == (
+            "b869c5dad2c26f9e58f0db7ccbe05d044c65dffd706f5e6f8ada54842727a784"
+        )
+
+    def test_draw_with_repeats(self):
+        sample = sample_configurations(
+            _small_space(), 300, seed=11, unique=False
+        )
+        assert len(set(sample)) == 274
+        assert _digest(sample) == (
+            "0fa4a0bc923cfecc93f1e2c290469f546e38e425e97dad80cbc69bfbe5e32b65"
+        )
+
+    def test_unique_draw_from_a_small_space(self):
+        sample = sample_configurations(_small_space(), 40, seed=3)
+        assert _digest(sample) == (
+            "4cb033b2b068fcd2084c45aade89e61b817c028b67260cf514cad9b8628ce2b0"
+        )
+
+    def test_enumeration(self):
+        space = _small_space()
+        configs = list(space.enumerate())
+        assert len(configs) == space.legal_size == 2304
+        assert _digest(configs) == (
+            "c347d170c6f256b9b49659c3648ae6934abaeddcb70a32088ce6b336d50ad931"
+        )
+
+    def test_stratified_and_corner_draws(self):
+        assert _digest(
+            stratified_sample(DesignSpace(), 50, "width", seed=5)
+        ) == "c7beee75f8808970e27565dc99aa02c6a542534a6e2cc2e61e484dd6b8dbd641"
+        assert _digest(
+            corner_biased_sample(DesignSpace(), 50, seed=5)
+        ) == "b8c0254f81007b589aedba426fac49e50f2466bd2b088d7aece1a0c9093bfd88"
 
 
 class TestUniformSampling:

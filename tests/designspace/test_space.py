@@ -2,9 +2,36 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.designspace import Configuration, DesignSpace
+from repro.designspace import Configuration, DesignSpace, restrict
 from repro.designspace.configuration import PARAMETER_ORDER
+from repro.designspace.space import meets_constraints
+
+TABLE1 = DesignSpace()
+
+
+@st.composite
+def raw_configurations(draw):
+    """A configuration of grid values with up to three replaced by
+    anything a caller might pass: an off-grid int, a float, an
+    ``np.int64``, a numeric string, a boolean or ``None``."""
+    values = [draw(st.sampled_from(p.values)) for p in TABLE1.parameters]
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, len(values) - 1))
+        grid = TABLE1.parameters[j].values
+        values[j] = draw(st.one_of(
+            st.integers(-10, 5000),
+            st.integers(-(10**20), 10**20),
+            st.sampled_from(grid).map(float),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(grid).map(np.int64),
+            st.sampled_from(grid).map(str),
+            st.booleans(),
+            st.none(),
+        ))
+    return Configuration(*values)
 
 
 class TestSize:
@@ -194,3 +221,95 @@ class TestEnumeration:
         assert len(configs) == tiny.legal_size
         assert len(set(configs)) == len(configs)
         assert all(tiny.is_legal(c) for c in configs)
+
+
+class TestBatchValidation:
+    """``validate_many`` applies ``validate``'s rules to a batch."""
+
+    @given(config=raw_configurations())
+    @settings(max_examples=400, deadline=None)
+    def test_raises_exactly_when_validate_raises(self, config):
+        try:
+            TABLE1.validate(config)
+        except ValueError as refused:
+            expected = str(refused)
+        else:
+            values = TABLE1.validate_many([config])
+            assert values.dtype == float and values.shape == (1, 13)
+            assert values[0].tolist() == [float(v) for v in config]
+            return
+        if expected.startswith("configuration violates"):
+            expected = f"config[0] violates legality constraints: {config}"
+        else:
+            expected = f"config[0]: {expected}"
+        with pytest.raises(ValueError) as refused:
+            TABLE1.validate_many([config])
+        assert str(refused.value) == expected
+
+    def test_names_the_first_offender_by_index_then_parameter(self, space):
+        base = space.baseline
+        rows = [base, base.replace(rob_size=32, iq_size=80),
+                base.replace(width="4"), base.replace(iq_size=None, width=5)]
+        with pytest.raises(ValueError) as refused:
+            space.validate_many(rows)
+        assert str(refused.value) == (
+            "config[2]: width='4' is off the grid (2, 4, 6, 8)"
+        )
+        with pytest.raises(ValueError) as refused:
+            space.validate_many(rows[:2])
+        assert str(refused.value) == (
+            f"config[1] violates legality constraints: {rows[1]}"
+        )
+
+    def test_returns_the_value_matrix(self, space, configs):
+        values = space.validate_many(configs)
+        assert np.array_equal(
+            values, np.array([c.values() for c in configs], dtype=float)
+        )
+
+
+class TestConstraintExpression:
+    @pytest.mark.parametrize("dtype", [np.int64, float])
+    def test_columns_match_satisfies_constraints_row_by_row(
+        self, space, dtype
+    ):
+        rng = np.random.default_rng(23)
+        columns = [
+            rng.choice(p.values, size=4000).astype(dtype)
+            for p in space.parameters
+        ]
+        mask = meets_constraints(columns)
+        expected = [
+            space.satisfies_constraints(Configuration(*map(int, row)))
+            for row in zip(*columns)
+        ]
+        assert mask.dtype == bool
+        assert mask.tolist() == expected
+        assert 0.1 < mask.mean() < 0.5  # most raw draws are illegal
+        assert np.array_equal(
+            meets_constraints(np.column_stack(columns).T), mask
+        )
+
+    def test_one_tuple_gives_a_bool(self, space):
+        assert meets_constraints(space.baseline.values()) is True
+        illegal = space.baseline.replace(rf_write_ports=8)
+        assert meets_constraints(illegal.values()) is False
+
+
+class TestUnitCube:
+    def test_full_space_frame_is_its_feature_bounds(self, space, configs):
+        low, high = space.feature_bounds()
+        unit = space.unit_cube(space.validate_many(configs))
+        assert np.array_equal(
+            unit, (space.encode_many(configs) - low) / (high - low)
+        )
+        assert unit.min() >= 0.0 and unit.max() <= 1.0
+
+    def test_restricted_space_keeps_table1_frame(self, space):
+        narrow = restrict(space, width=(4, 4), l2cache_kb=(1024, 2048))
+        values = narrow.validate_many([narrow.baseline])
+        assert np.array_equal(
+            narrow.unit_cube(values),
+            space.unit_cube(space.validate_many([narrow.baseline])),
+        )
+        assert np.isfinite(narrow.unit_cube(values)).all()

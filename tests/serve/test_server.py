@@ -134,6 +134,77 @@ class TestPredict:
         assert excinfo.value.status == 400
 
 
+class TestConfigurationValues:
+    """A value ``int()`` would change or cannot take gets 400 on the
+    same keep-alive connection, which then still answers.  Each value
+    truncates or coerces to a legal machine, so none of them is refused
+    by the grid or the legality constraints instead."""
+
+    INEXACT = [
+        ("width", float("inf")),
+        ("width", float("-inf")),
+        ("rf_write_ports", 4.9),
+        ("rf_write_ports", True),
+        ("width", "8"),
+    ]
+
+    @pytest.mark.parametrize("form", ["mapping", "list"])
+    def test_inexact_values_get_400_and_the_connection_lives(
+        self, harness, space, form
+    ):
+        from repro.obs import scoped_registry
+
+        baseline = space.baseline
+        with scoped_registry():
+            server = harness()
+            with server.client() as client:
+                good = client.predict([baseline])
+                connection = client._connection.sock
+                for name, value in self.INEXACT:
+                    if form == "mapping":
+                        config = {name: value}
+                    else:
+                        config = baseline.as_dict()
+                        config[name] = value
+                        config = list(config.values())
+                    body = json.dumps({"config": config})
+                    with pytest.raises(ServerError) as excinfo:
+                        client._request("POST", "/predict", body=body)
+                    assert excinfo.value.status == 400, (name, value)
+                    assert excinfo.value.message.startswith(
+                        "bad configuration values: "
+                    )
+                assert client.predict([baseline]) == good
+                assert client._connection.sock is connection
+                assert (
+                    f'serve_requests{{status="400"}} {len(self.INEXACT)}'
+                    in client.metrics_text()
+                )
+
+    @pytest.mark.parametrize("form", ["mapping", "list"])
+    def test_integral_float_still_accepted(self, harness, space, form):
+        server = harness()
+        baseline = space.baseline
+        config = (
+            {"width": 4.0} if form == "mapping"
+            else [float(v) for v in baseline.values()]
+        )
+        body = json.dumps({"config": config})
+        with server.client() as client:
+            payload = client._request("POST", "/predict", body=body)
+            assert payload["predictions"] == client.predict([baseline])
+
+    def test_client_refuses_a_value_it_would_truncate(self, harness, space):
+        server = harness()
+        with server.client() as client:
+            with pytest.raises(ValueError, match="4.9 is not an integer"):
+                client.predict([{"rf_write_ports": 4.9}])
+            with pytest.raises(ValueError, match="not an integer"):
+                client.predict([[4.5] + list(space.baseline.values())[1:]])
+            row = np.array(space.baseline.values(), dtype=np.int64)
+            assert client.predict([row]) == client.predict([space.baseline])
+
+
 class TestConcurrency:
     def test_64_concurrent_clients_zero_drops(
         self, harness, fitted_predictor, holdout_configs

@@ -8,6 +8,13 @@ memory-bound programs live and die by the L2, and so on.
 import numpy as np
 import pytest
 
+from repro.designspace import (
+    DesignSpace,
+    embedded_space,
+    restrict,
+    sample_configurations,
+    server_space,
+)
 from repro.sim import IntervalSimulator, Metric
 from repro.workloads import spec2000_profile
 
@@ -118,6 +125,31 @@ class TestBasics:
         assert sim.simulate(long, baseline).cycles == pytest.approx(
             2 * sim.simulate(short, baseline).cycles
         )
+
+
+class TestRestrictedSpaces:
+    """The space a simulator validates against selects which machines it
+    accepts, not how it models them."""
+
+    @pytest.mark.parametrize("narrow", [
+        embedded_space(),
+        server_space(),
+        restrict(DesignSpace(), width=(4, 4)),
+    ], ids=["embedded", "server", "one-width"])
+    def test_equals_full_space_simulation_exactly(self, sim, narrow):
+        profiles = [spec2000_profile("gzip"), spec2000_profile("art")]
+        configs = [narrow.baseline] + sample_configurations(
+            narrow, 63, seed=5
+        )
+        restricted = IntervalSimulator(narrow)
+        rows = restricted.simulate_suite(profiles, configs)
+        for row, full in zip(rows, sim.simulate_suite(profiles, configs)):
+            for metric in Metric.all():
+                assert np.isfinite(row.metric(metric)).all()
+                assert np.array_equal(row.metric(metric), full.metric(metric))
+        single = restricted.simulate(profiles[0], narrow.baseline)
+        assert single == sim.simulate(profiles[0], narrow.baseline)
+        assert np.isfinite([single.cycles, single.energy]).all()
 
 
 class TestRegisterFileBottleneck:

@@ -1,5 +1,6 @@
 """Tests for the machine specification (Table 2)."""
 
+import numpy as np
 import pytest
 
 from repro.sim import FixedParameters, MachineSpec, functional_units
@@ -34,6 +35,18 @@ class TestFunctionalUnits:
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError):
             functional_units(0)
+        with pytest.raises(ValueError):
+            functional_units(np.array([4.0, 0.0]))
+
+    def test_width_column_matches_each_width(self):
+        widths = list(range(1, 17))
+        column = functional_units(np.array(widths, dtype=float))
+        for i, width in enumerate(widths):
+            units = functional_units(width)
+            for unit, count in units.items():
+                assert type(count) is int
+                assert column[unit].dtype == float
+                assert column[unit][i] == count, (width, unit)
 
 
 class TestMachineSpec:

@@ -543,6 +543,52 @@ class TestSloCheck:
                      "--metrics", metrics]) == 2
         assert "slo config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", [
+        {"threshold": [1]},
+        {"threshold": "inf"},
+        {"threshold": float("inf")},
+        {"threshold": True},
+        {"quantile": "0.9"},
+        {"labels": ["a"]},
+        {"numerator_labels": {"outcome": 1}},
+        {"denominator_labels": "outcome"},
+    ], ids=repr)
+    def test_mistyped_field_exits_2(self, tmp_path, capsys, field):
+        """Read as written, ``"inf"`` would pass a 50% error rate."""
+        _, metrics = self._inputs(tmp_path, errors=5)
+        objectives = tmp_path / "bad.json"
+        objectives.write_text(json.dumps({"objectives": [
+            {"name": "error-rate", "kind": "error_rate",
+             "numerator": "errors", "denominator": "requests",
+             "threshold": 0.5, **field},
+        ]}))
+        assert main(["slo", "check", "--objectives", str(objectives),
+                     "--metrics", metrics]) == 2
+        err = capsys.readouterr().err
+        assert "slo config error" in err
+        assert "Traceback" not in err
+
+    def test_load_reads_objectives_before_its_preflight(
+        self, tmp_path, capsys
+    ):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "seed": 1,
+            "stages": [{"name": "s", "duration": 1.0, "rate": 5.0}],
+        }))
+        objectives = tmp_path / "bad.json"
+        objectives.write_text(json.dumps({"objectives": [
+            {"name": "p99", "kind": "latency", "metric": "m",
+             "threshold": [1]},
+        ]}))
+        # Nothing listens on port 1: the objectives are refused first.
+        assert main(["load", "--plan", str(plan),
+                     "--target", "127.0.0.1:1", "--timeout", "2",
+                     "--slo", str(objectives)]) == 2
+        err = capsys.readouterr().err
+        assert "slo config error" in err
+        assert "not healthy" not in err
+
 
 class TestServeSigterm:
     """End to end: serve a saved artifact in a subprocess, answer a

@@ -14,6 +14,7 @@ from scale import RESPONSES, SAMPLE_SIZE, TRAINING_SIZE
 
 from repro.core import (
     LinearBaselinePredictor,
+    PoolMatrix,
     SplineBaselinePredictor,
     evaluate_on_program,
 )
@@ -70,9 +71,10 @@ def test_ablation_baselines(benchmark, spec_dataset, pools, record_artifact):
                 series[name].append(float(np.mean(errors)))
                 corr_series[name].append(float(np.mean(correlations)))
 
+        matrix = PoolMatrix(pool.models(), spec_dataset.configs)
         ours = [
             evaluate_on_program(
-                pool.models(exclude=[program]), spec_dataset, program,
+                matrix.select(exclude=[program]), spec_dataset, program,
                 responses=RESPONSES,
                 seed=stable_seed("a6-ours", program),
             )

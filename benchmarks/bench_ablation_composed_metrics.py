@@ -11,7 +11,7 @@ import numpy as np
 
 from scale import RESPONSES, SAMPLE_SIZE, TRAINING_SIZE
 
-from repro.core import evaluate_on_program
+from repro.core import PoolMatrix, evaluate_on_program
 from repro.core.multimetric import MultiMetricPredictor
 from repro.exploration import format_table, scale_banner
 from repro.ml import correlation, rmae
@@ -25,8 +25,10 @@ def test_ablation_composed_metrics(benchmark, spec_dataset, pools,
                                    record_artifact):
     cycles_pool = pools(Metric.CYCLES)
     energy_pool = pools(Metric.ENERGY)
-    ed_pool = pools(Metric.ED)
-    edd_pool = pools(Metric.EDD)
+    matrices = {
+        metric: PoolMatrix(pools(metric).models(), spec_dataset.configs)
+        for metric in (Metric.ED, Metric.EDD)
+    }
 
     def run():
         composed = {Metric.ED: [], Metric.EDD: []}
@@ -52,8 +54,7 @@ def test_ablation_composed_metrics(benchmark, spec_dataset, pools,
                     program, Metric.ENERGY, response_idx
                 ),
             )
-            for metric, pool in ((Metric.ED, ed_pool),
-                                 (Metric.EDD, edd_pool)):
+            for metric, matrix in matrices.items():
                 actual = spec_dataset.subset_values(
                     program, metric, holdout_idx
                 )
@@ -63,7 +64,7 @@ def test_ablation_composed_metrics(benchmark, spec_dataset, pools,
                      correlation(prediction, actual))
                 )
                 score = evaluate_on_program(
-                    pool.models(exclude=[program]), spec_dataset, program,
+                    matrix.select(exclude=[program]), spec_dataset, program,
                     responses=RESPONSES, seed=seed,
                 )
                 direct[metric].append((score.rmae, score.correlation))

@@ -12,7 +12,7 @@ import numpy as np
 
 from scale import RESPONSES, SAMPLE_SIZE, TRAINING_SIZE
 
-from repro.core import evaluate_on_program
+from repro.core import PoolMatrix, evaluate_on_program
 from repro.exploration import DesignSpaceDataset, format_table, scale_banner
 from repro.sim import Metric
 from repro.workloads import drift_study_suites
@@ -23,7 +23,7 @@ PROGRAMS_PER_LEVEL = 5
 
 def test_ablation_drift(benchmark, spec_dataset, pools, record_artifact):
     pool = pools(Metric.CYCLES)
-    models = pool.models()
+    matrix = PoolMatrix(pool.models(), spec_dataset.configs)
     suites = drift_study_suites(PROGRAMS_PER_LEVEL, drifts=DRIFTS, seed=99)
 
     def run():
@@ -34,7 +34,7 @@ def test_ablation_drift(benchmark, spec_dataset, pools, record_artifact):
             )
             scores = [
                 evaluate_on_program(
-                    models, dataset, program, responses=RESPONSES,
+                    matrix, dataset, program, responses=RESPONSES,
                     seed=777 + int(drift * 100),
                 )
                 for program in suite.programs

@@ -13,7 +13,11 @@ import numpy as np
 
 from scale import RESPONSES, SAMPLE_SIZE, TRAINING_SIZE
 
-from repro.core import evaluate_on_program, program_specific_score
+from repro.core import (
+    PoolMatrix,
+    evaluate_on_program,
+    program_specific_score,
+)
 from repro.exploration import DesignSpaceDataset, format_table, scale_banner
 from repro.sim import Metric
 from repro.workloads import BenchmarkSuite, optimization_variant
@@ -25,7 +29,6 @@ LEVELS = ("O0", "O3", "unrolled")
 def test_ablation_optimization(benchmark, spec_dataset, pools,
                                record_artifact):
     pool = pools(Metric.CYCLES)
-    models = pool.models()
 
     variants = [
         optimization_variant(spec_dataset.suite[base], level)
@@ -36,12 +39,13 @@ def test_ablation_optimization(benchmark, spec_dataset, pools,
     variant_dataset = DesignSpaceDataset(
         variant_suite, spec_dataset.configs, spec_dataset.simulator
     )
+    matrix = PoolMatrix(pool.models(), spec_dataset.configs)
 
     def run():
         rows = []
         for profile in variants:
             ours = evaluate_on_program(
-                models, variant_dataset, profile.name,
+                matrix, variant_dataset, profile.name,
                 responses=RESPONSES, seed=808,
             )
             theirs = program_specific_score(

@@ -15,6 +15,7 @@ Run:  python examples/recompile_and_predict.py
 from repro import (
     DesignSpaceDataset,
     Metric,
+    PoolMatrix,
     TrainingPool,
     evaluate_on_program,
     program_specific_score,
@@ -40,13 +41,16 @@ def main() -> None:
         BenchmarkSuite("rebuilds", rebuilds), dataset.configs,
         dataset.simulator,
     )
+    # Every pool model's prediction at every configuration, computed once
+    # and indexed by each rebuild's fit.
+    matrix = PoolMatrix(models, dataset.configs)
 
     print(f"{'rebuild':<15} | {'ours rmae':>9} | {'ours corr':>9} | "
           f"{'fresh-model rmae':>16}")
     print("-" * 60)
     for profile in rebuilds:
         ours = evaluate_on_program(
-            models, rebuild_dataset, profile.name, responses=32, seed=13
+            matrix, rebuild_dataset, profile.name, responses=32, seed=13
         )
         fresh = program_specific_score(
             rebuild_dataset, profile.name, Metric.CYCLES, 32, seed=13

@@ -17,6 +17,7 @@ import numpy as np
 from repro import (
     DesignSpaceDataset,
     Metric,
+    PoolMatrix,
     TrainingPool,
     evaluate_on_program,
     spec2000_suite,
@@ -34,6 +35,9 @@ def main() -> None:
                         seed=0)
     models = pool.models()
     print(f"Offline pool: {len(models)} SPEC-trained models\n")
+    # Every drift level shares the SPEC dataset's configurations, so one
+    # matrix of the pool's predictions serves them all.
+    matrix = PoolMatrix(models, spec_dataset.configs)
 
     suites = drift_study_suites(PROGRAMS_PER_LEVEL, drifts=DRIFTS, seed=23)
     print(f"{'drift':>5} | {'rmae':>6} | {'corr':>6} | {'train err':>9} | "
@@ -44,7 +48,7 @@ def main() -> None:
             suite, spec_dataset.configs, spec_dataset.simulator
         )
         scores = [
-            evaluate_on_program(models, dataset, program, responses=32,
+            evaluate_on_program(matrix, dataset, program, responses=32,
                                 seed=31)
             for program in suite.programs
         ]

@@ -43,6 +43,7 @@ The subpackages:
 
 from repro.core import (
     ArchitectureCentricPredictor,
+    PoolMatrix,
     ProgramSpecificPredictor,
     TrainingPool,
     cross_suite,
@@ -65,6 +66,7 @@ __all__ = [
     "DesignSpaceDataset",
     "IntervalSimulator",
     "Metric",
+    "PoolMatrix",
     "ProgramSpecificPredictor",
     "TrainingPool",
     "correlation",

@@ -5,7 +5,9 @@ Public surface:
 * :class:`ProgramSpecificPredictor` — per-program ANN (and the baseline).
 * :class:`ArchitectureCentricPredictor` — the cross-program model.
 * :class:`TrainingPool` — offline training of per-program models.
-* :func:`leave_one_out` / :func:`cross_suite` — evaluation protocols.
+* :func:`leave_one_out` / :func:`cross_suite` — evaluation protocols;
+  :class:`PoolMatrix` — a pool's predictions at a configuration set,
+  computed once and indexed by every fold.
 * :func:`save_predictor` / :func:`load_predictor` — fitted-predictor
   artifacts (what the model registry publishes and the server loads).
 """
@@ -14,6 +16,7 @@ from .active import model_disagreement, select_responses
 from .baselines import LinearBaselinePredictor, SplineBaselinePredictor
 from .crossval import (
     CrossValidationResult,
+    PoolMatrix,
     PredictionScore,
     ProgramSummary,
     cross_suite,
@@ -41,6 +44,7 @@ __all__ = [
     "SplineBaselinePredictor",
     "CrossValidationResult",
     "ExplorationReport",
+    "PoolMatrix",
     "PredictionScore",
     "ProgramSpecificPredictor",
     "ProgramSummary",

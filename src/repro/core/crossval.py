@@ -4,6 +4,10 @@ Three evaluation protocols:
 
 * :func:`evaluate_on_program` — fit the architecture-centric model for
   one new program from R responses and score it on the held-out sample.
+  It indexes a :class:`PoolMatrix`: every pool model's log10 prediction
+  at every configuration, computed once per pool and configuration set
+  (a model's output depends on the configuration alone; only the linear
+  fit depends on the new program, Section 5.3).
 * :func:`leave_one_out` — the paper's main protocol: for every program,
   train on all others, characterise the left-out program with R
   responses, validate on the rest of the 3,000-point sample, repeated
@@ -18,11 +22,14 @@ program (art, mcf, tiff2rgba, patricia) has unique behaviour.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.designspace.configuration import Configuration
+from repro.ml.ensemble import StackedEnsemble
 from repro.ml.metrics import correlation, rmae
 from repro.obs import span
 from repro.sim.metrics import Metric
@@ -30,7 +37,7 @@ from repro.workloads.profile import stable_seed
 
 from .predictor import ArchitectureCentricPredictor
 from .program_model import ProgramSpecificPredictor
-from .training import TrainingPool
+from .training import TrainingPool, fold_programs
 
 if TYPE_CHECKING:  # avoid a package-level import cycle with exploration
     from repro.exploration.dataset import DesignSpaceDataset
@@ -104,8 +111,110 @@ class CrossValidationResult:
             ) from None
 
 
+#: Configurations per block of the pool pass.  The row-pure forward's
+#: (N, rows, H) temporaries are ~4 MB at 512 rows; one 3,000-row pass
+#: would set the peak memory of a leave-one-out process.
+_BLOCK_ROWS = 512
+
+
+class PoolMatrix:
+    """Every pool model's log10 prediction at every configuration.
+
+    A program model's output depends on the configuration alone, so a
+    pool's (configurations x models) log10 matrix is computed once per
+    pool and configuration set, and every fold fits and scores by
+    indexing it.  The pass is
+    :meth:`~repro.ml.ensemble.StackedEnsemble.log_model_matrix_invariant`
+    over consecutive blocks of configurations: each entry is a pure
+    function of its configuration and model, so a row has the same bits
+    in every block and a column the same bits in every subset.  The
+    BLAS pass is not row-pure (its last bits move with the number of
+    rows in a call), so it cannot be indexed in place of a fold's own
+    pass.
+
+    Args:
+        models: Trained program models that stack into one
+            :class:`~repro.ml.ensemble.StackedEnsemble` (every
+            :class:`~repro.core.training.TrainingPool`'s do).
+        configs: The configurations to evaluate them at.
+
+    Attributes:
+        models: The matrix's models, one per column, in column order.
+        configs: The configurations, one per row of ``values``.
+        values: Read-only, C-contiguous (configurations x pool models)
+            float64 matrix, shared by every :meth:`select` of the pool.
+        columns: The columns of ``values`` this matrix covers.
+
+    Raises:
+        ValueError: if the models do not stack.
+    """
+
+    def __init__(
+        self,
+        models: Sequence[ProgramSpecificPredictor],
+        configs: Sequence[Configuration],
+    ) -> None:
+        self.models: Tuple[ProgramSpecificPredictor, ...] = tuple(models)
+        self.configs: Tuple[Configuration, ...] = tuple(configs)
+        with span("crossval.pool_matrix", rows=len(self.configs),
+                  models=len(self.models)):
+            ensemble = StackedEnsemble.maybe_from_models(self.models)
+            if ensemble is None:
+                raise ValueError(
+                    "the models do not stack into one ensemble (they need "
+                    "one trained network shape and one design space)"
+                )
+            values = np.concatenate([
+                ensemble.log_model_matrix_invariant(
+                    self.configs[start:start + _BLOCK_ROWS]
+                )
+                for start in range(0, len(self.configs), _BLOCK_ROWS)
+            ])
+        values.flags.writeable = False
+        self.values = values
+        self.columns = np.arange(len(self.models))
+
+    @property
+    def programs(self) -> Tuple[str, ...]:
+        """Program names, in column order."""
+        return tuple(model.program for model in self.models)
+
+    def select(
+        self,
+        include: Optional[Sequence[str]] = None,
+        exclude: Optional[Sequence[str]] = None,
+    ) -> "PoolMatrix":
+        """The same matrix over a fold's models, without copying values.
+
+        Takes the arguments of :meth:`TrainingPool.models` and picks the
+        models it would return, in its order.
+
+        Raises:
+            KeyError: if ``include`` or ``exclude`` names a program the
+                matrix does not hold.
+        """
+        position = {name: i for i, name in enumerate(self.programs)}
+        picked = [
+            position[name]
+            for name in fold_programs(self.programs, include, exclude)
+        ]
+        selected = copy.copy(self)
+        selected.models = tuple(self.models[i] for i in picked)
+        selected.columns = self.columns[picked]
+        return selected
+
+    def rows(self, indices: Sequence[int]) -> np.ndarray:
+        """(len(indices), models) C-contiguous copy, in column order.
+
+        The combining regressor's GEMV picks its summation order from
+        the layout, so the copy is laid out as a fold's own pass would
+        return it.
+        """
+        return self.values[np.ix_(indices, self.columns)]
+
+
 def evaluate_on_program(
-    models: Sequence[ProgramSpecificPredictor],
+    matrix: PoolMatrix,
     dataset: DesignSpaceDataset,
     program: str,
     responses: int = 32,
@@ -116,16 +225,28 @@ def evaluate_on_program(
 
     The R responses are drawn from the dataset's configuration pool and
     the score is computed on the remaining configurations, exactly the
-    paper's protocol.
+    paper's protocol.  The program models' predictions come from
+    ``matrix``, the fold's :meth:`PoolMatrix.select` of a matrix over
+    the dataset's configurations; the fold runs no forward pass.
+
+    Raises:
+        ValueError: if ``matrix`` was computed over other configurations.
     """
-    metric = models[0].metric
+    if matrix.configs is not dataset.configs and (
+        matrix.configs != dataset.configs
+    ):
+        raise ValueError(
+            "the pool matrix was computed over another configuration set "
+            "than the dataset's"
+        )
+    predictor = ArchitectureCentricPredictor(matrix.models, ridge=ridge)
+    metric = predictor.metric
     response_idx, holdout_idx = dataset.split_indices(responses, seed=seed)
-    predictor = ArchitectureCentricPredictor(models, ridge=ridge)
-    predictor.fit_responses(
-        dataset.subset_configs(response_idx),
+    predictor.fit_design(
+        matrix.rows(response_idx),
         dataset.subset_values(program, metric, response_idx),
     )
-    predictions = predictor.predict(dataset.subset_configs(holdout_idx))
+    predictions = predictor.predict_design(matrix.rows(holdout_idx))
     actual = dataset.subset_values(program, metric, holdout_idx)
     return PredictionScore(
         program=program,
@@ -148,6 +269,9 @@ def leave_one_out(
     n_jobs: Optional[int] = None,
 ) -> CrossValidationResult:
     """Leave-one-out cross-validation over a suite (Section 7.1/7.2).
+
+    Each repeat trains its pool, computes one :class:`PoolMatrix` over
+    the dataset's configurations, and scores every fold from it.
 
     Args:
         dataset: Shared simulated dataset for the suite.
@@ -174,13 +298,13 @@ def leave_one_out(
                 seed=stable_seed("loo", str(seed), str(repeat)),
                 n_jobs=n_jobs,
             )
-            pool.train_all()
+            matrix = PoolMatrix(pool.models(), dataset.configs)
             for name in targets:
-                models = pool.models(exclude=[name])
+                fold = matrix.select(exclude=[name])
                 with span("crossval.evaluate", program=name,
                           repeat=repeat):
                     score = evaluate_on_program(
-                        models,
+                        fold,
                         dataset,
                         name,
                         responses=responses,
@@ -205,7 +329,8 @@ def cross_suite(
     """Train on one suite, predict every program of another (Section 7.3).
 
     Both datasets must share a design space; they need not share
-    configurations (responses come from the test dataset's own pool).
+    configurations (responses come from the test dataset's own pool,
+    and each repeat's :class:`PoolMatrix` is computed over it).
     ``n_jobs`` controls the worker processes of each repeat's offline
     pool training (1 = serial; results are identical either way).
     """
@@ -222,12 +347,12 @@ def cross_suite(
                 seed=stable_seed("xsuite", str(seed), str(repeat)),
                 n_jobs=n_jobs,
             )
-            models = pool.models()
+            matrix = PoolMatrix(pool.models(), test_dataset.configs)
             for name in test_dataset.programs:
                 with span("crossval.evaluate", program=name,
                           repeat=repeat):
                     score = evaluate_on_program(
-                        models,
+                        matrix,
                         test_dataset,
                         name,
                         responses=responses,

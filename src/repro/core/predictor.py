@@ -106,19 +106,44 @@ class ArchitectureCentricPredictor:
     ) -> "ArchitectureCentricPredictor":
         """Fit the combining regressor on the new program's responses.
 
+        Builds the (R, N) design with one stacked forward pass over the
+        responses and fits it through :meth:`fit_design`.
+
         Args:
             response_configs: The R simulated configurations.
             response_values: The new program's measured metric at those
                 configurations.
         """
+        return self.fit_design(
+            self._model_matrix(response_configs), response_values
+        )
+
+    def fit_design(
+        self, design: np.ndarray, response_values: np.ndarray
+    ) -> "ArchitectureCentricPredictor":
+        """Fit the combining regressor on an already computed design.
+
+        Args:
+            design: (R, N) log10 predictions of the program models at the
+                R responses, one column per model in
+                ``program_models`` order.
+            response_values: The new program's measured metric at those
+                configurations.
+        """
+        design = np.asarray(design, dtype=float)
         response_values = np.asarray(response_values, dtype=float).reshape(-1)
-        if len(response_configs) != response_values.shape[0]:
+        if design.ndim != 2 or design.shape[1] != len(self.program_models):
+            raise ValueError(
+                f"design has shape {design.shape}; expected one column per "
+                f"program model ({len(self.program_models)})"
+            )
+        if design.shape[0] != response_values.shape[0]:
             raise ValueError(
                 f"configs and values disagree on sample count: "
-                f"{len(response_configs)} configurations vs "
+                f"{design.shape[0]} configurations vs "
                 f"{response_values.shape[0]} values"
             )
-        if len(response_configs) < 2:
+        if design.shape[0] < 2:
             raise ValueError("at least two responses are required")
         if not np.all(np.isfinite(response_values)):
             bad = int(np.sum(~np.isfinite(response_values)))
@@ -130,18 +155,16 @@ class ArchitectureCentricPredictor:
             raise ValueError("metric values must be positive")
 
         with span(
-            "predict.fit_responses", responses=len(response_configs),
+            "predict.fit_responses", responses=design.shape[0],
             models=len(self.program_models),
         ):
-            design = self._model_matrix(response_configs)
-            targets = np.log10(response_values)
-            self._regressor.fit(design, targets)
+            self._regressor.fit(design, np.log10(response_values))
         self._fitted = True
-        self.response_count_ = len(response_configs)
+        self.response_count_ = design.shape[0]
         # Reuse the design matrix for the training error instead of
         # recomputing every model's predictions through self.predict.
         self.training_error_ = rmae(
-            self._predict_from_design(design), response_values
+            self.predict_design(design), response_values
         )
         return self
 
@@ -161,7 +184,7 @@ class ArchitectureCentricPredictor:
                 "the predictor has not been fitted on responses yet"
             )
         start = time.perf_counter()
-        result = self._predict_from_design(self._model_matrix(configs))
+        result = self.predict_design(self._model_matrix(configs))
         registry = get_registry()
         registry.histogram("predict.batch.seconds").observe(
             time.perf_counter() - start
@@ -211,8 +234,14 @@ class ArchitectureCentricPredictor:
         registry.counter("predict.configs").inc(len(configs))
         return result
 
-    def _predict_from_design(self, design: np.ndarray) -> np.ndarray:
-        """Combine an already computed (n, N) design matrix."""
+    def predict_design(self, design: np.ndarray) -> np.ndarray:
+        """Combine an already computed (n, N) design matrix.
+
+        ``design`` holds the program models' log10 predictions, laid
+        out as :meth:`fit_design` takes them.  The combining GEMV picks
+        its summation order from the memory layout, so equal values in a
+        C-contiguous and a transposed array can differ in the last ulp.
+        """
         log_prediction = self._regressor.predict(design)
         return np.power(10.0, np.clip(log_prediction, -30.0, 30.0))
 

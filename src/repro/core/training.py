@@ -68,6 +68,29 @@ def _fit_network_worker(
     )
 
 
+def fold_programs(
+    programs: Sequence[str],
+    include: Optional[Sequence[str]] = None,
+    exclude: Optional[Sequence[str]] = None,
+) -> List[str]:
+    """The programs of a fold, in ``include`` order.
+
+    Args:
+        programs: Every program the fold may draw from.
+        include: Programs to include (defaults to ``programs``).
+        exclude: Programs to drop (e.g. the left-out test program).
+
+    Raises:
+        KeyError: if ``include`` or ``exclude`` names an unknown program.
+    """
+    names = list(include) if include is not None else list(programs)
+    dropped = set(exclude or ())
+    unknown = (set(names) | dropped) - set(programs)
+    if unknown:
+        raise KeyError(f"programs not in the pool: {sorted(unknown)}")
+    return [name for name in names if name not in dropped]
+
+
 class TrainingPool:
     """Per-program predictors trained offline over a shared dataset.
 
@@ -231,11 +254,6 @@ class TrainingPool:
             include: Programs to include (defaults to the whole suite).
             exclude: Programs to drop (e.g. the left-out test program).
         """
-        names = list(include) if include is not None else list(self.dataset.programs)
-        dropped = set(exclude or ())
-        unknown = (set(names) | dropped) - set(self.dataset.programs)
-        if unknown:
-            raise KeyError(f"programs not in the dataset: {sorted(unknown)}")
-        wanted = [name for name in names if name not in dropped]
+        wanted = fold_programs(self.dataset.programs, include, exclude)
         self._train_many(wanted, self.n_jobs)
         return [self._models[name] for name in wanted]

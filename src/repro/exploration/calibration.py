@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.crossval import evaluate_on_program
+from repro.core.crossval import PoolMatrix, evaluate_on_program
 from repro.core.training import TrainingPool
 from repro.ml.linear import LinearRegressor
 from repro.sim.metrics import Metric
@@ -91,12 +91,15 @@ def measure_operating_points(
             stable_seed("calib-pick", str(pool_size), str(seed))
         )
         chosen = list(rng.choice(all_programs, size=pool_size, replace=False))
+        # Over the chosen models only: a matrix over the whole pool
+        # would train models no evaluation at this point uses.
+        matrix = PoolMatrix(pool.models(include=chosen), dataset.configs)
         errors = []
         for program in targets:
             if program in chosen:
                 continue
             score = evaluate_on_program(
-                pool.models(include=chosen), dataset, program,
+                matrix, dataset, program,
                 responses=responses,
                 seed=stable_seed("calib-resp", program, str(responses),
                                  str(seed)),

@@ -168,8 +168,12 @@ class DesignSpaceDataset:
     def subset_values(
         self, program: str, metric: Metric, indices: Sequence[int]
     ) -> np.ndarray:
-        """Metric values of one program at the given indices."""
-        return self.values(program, metric)[list(indices)]
+        """Metric values of one program at the given indices.
+
+        Takes a list, tuple, range or integer array; ``take`` gathers
+        from an index array without making a Python int per index.
+        """
+        return self.values(program, metric).take(indices)
 
     def split_indices(
         self,

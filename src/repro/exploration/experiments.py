@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.crossval import (
     CrossValidationResult,
+    PoolMatrix,
     cross_suite,
     evaluate_on_program,
     leave_one_out,
@@ -182,21 +183,24 @@ def response_sweep(
     R = 32.
     """
     targets = list(programs) if programs is not None else list(dataset.programs)
-    pools = [
-        TrainingPool(
-            dataset, metric, training_size=training_size,
-            seed=stable_seed("fig10-pool", str(repeat), str(seed)),
-            n_jobs=n_jobs,
+    matrices = [
+        PoolMatrix(
+            TrainingPool(
+                dataset, metric, training_size=training_size,
+                seed=stable_seed("fig10-pool", str(repeat), str(seed)),
+                n_jobs=n_jobs,
+            ).models(),
+            dataset.configs,
         )
         for repeat in range(repeats)
     ]
     points = []
     for count in counts:
         errors, correlations = [], []
-        for repeat, pool in enumerate(pools):
+        for repeat, matrix in enumerate(matrices):
             for program in targets:
                 score = evaluate_on_program(
-                    pool.models(exclude=[program]),
+                    matrix.select(exclude=[program]),
                     dataset,
                     program,
                     responses=count,
@@ -322,9 +326,12 @@ def training_programs_sweep(
         raise ValueError(
             "pool sizes must leave at least one program to predict"
         )
-    pool = TrainingPool(
-        dataset, metric, training_size=training_size,
-        seed=stable_seed("fig14-pool", str(seed)), n_jobs=n_jobs,
+    matrix = PoolMatrix(
+        TrainingPool(
+            dataset, metric, training_size=training_size,
+            seed=stable_seed("fig14-pool", str(seed)), n_jobs=n_jobs,
+        ).models(),
+        dataset.configs,
     )
     points = []
     for size in pool_sizes:
@@ -334,12 +341,12 @@ def training_programs_sweep(
                 stable_seed("fig14-pick", str(size), str(repeat), str(seed))
             )
             chosen = list(rng.choice(programs, size=size, replace=False))
-            models = pool.models(include=chosen)
+            fold = matrix.select(include=chosen)
             for program in programs:
                 if program in chosen:
                     continue
                 score = evaluate_on_program(
-                    models,
+                    fold,
                     dataset,
                     program,
                     responses=responses,
@@ -380,9 +387,12 @@ def noise_sweep(
     percent.
     """
     targets = list(programs) if programs is not None else list(dataset.programs)
-    pool = TrainingPool(
-        dataset, metric, training_size=training_size,
-        seed=stable_seed("noise-pool", str(seed)), n_jobs=n_jobs,
+    matrix = PoolMatrix(
+        TrainingPool(
+            dataset, metric, training_size=training_size,
+            seed=stable_seed("noise-pool", str(seed)), n_jobs=n_jobs,
+        ).models(),
+        dataset.configs,
     )
     points = []
     for noise in noise_levels:
@@ -397,15 +407,10 @@ def noise_sweep(
             )
             clean = dataset.subset_values(program, metric, response_idx)
             noisy = clean * np.exp(rng.normal(0.0, noise, size=clean.shape))
-            predictor = ArchitectureCentricPredictor(
-                pool.models(exclude=[program])
-            )
-            predictor.fit_responses(
-                dataset.subset_configs(response_idx), noisy
-            )
-            predictions = predictor.predict(
-                dataset.subset_configs(holdout_idx)
-            )
+            fold = matrix.select(exclude=[program])
+            predictor = ArchitectureCentricPredictor(fold.models)
+            predictor.fit_design(fold.rows(response_idx), noisy)
+            predictions = predictor.predict_design(fold.rows(holdout_idx))
             actual = dataset.subset_values(program, metric, holdout_idx)
             errors.append(rmae(predictions, actual))
             correlations.append(correlation(predictions, actual))
@@ -439,11 +444,15 @@ def drift_sweep(
     """
     from repro.workloads.synthetic import synthetic_suite
 
-    pool = TrainingPool(
-        dataset, metric, training_size=training_size,
-        seed=stable_seed("drift-pool", str(seed)), n_jobs=n_jobs,
+    # Every drift level's dataset shares ``dataset.configs``, so one
+    # matrix serves them all.
+    matrix = PoolMatrix(
+        TrainingPool(
+            dataset, metric, training_size=training_size,
+            seed=stable_seed("drift-pool", str(seed)), n_jobs=n_jobs,
+        ).models(),
+        dataset.configs,
     )
-    models = pool.models()
     points = []
     for drift in drifts:
         suite = synthetic_suite(
@@ -456,7 +465,7 @@ def drift_sweep(
         errors, correlations = [], []
         for program in suite.programs:
             score = evaluate_on_program(
-                models, drifted, program, responses=responses,
+                matrix, drifted, program, responses=responses,
                 seed=stable_seed("drift", program, str(drift), str(seed)),
             )
             errors.append(score.rmae)

@@ -106,12 +106,16 @@ class MonteCarloSimulator:
 
         # Energy: interval-model activity accounting at the Monte Carlo
         # cycle count (leakage + clock scale with cycles; dynamic energy
-        # is activity-driven and shared).
-        reference = self._interval.simulate(profile, config)
-        per_cycle = float(self._interval._columns([config]).overhead_per_cycle[0])
-        leakage_share = per_cycle * reference.cycles
-        dynamic = reference.energy - leakage_share
-        energy = dynamic + leakage_share * (cycles / reference.cycles)
+        # is activity-driven and shared).  One column build serves both
+        # the reference pass and the per-cycle overhead.
+        columns = self._interval._columns([config])
+        batch_cycles, batch_energy, _ = self._interval._evaluate(
+            profile, columns
+        )
+        reference_cycles = float(batch_cycles[0])
+        leakage_share = float(columns.overhead_per_cycle[0]) * reference_cycles
+        dynamic = float(batch_energy[0]) - leakage_share
+        energy = dynamic + leakage_share * (cycles / reference_cycles)
         return MonteCarloResult(
             cycles=cycles,
             energy=float(energy),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    PoolMatrix,
     cross_suite,
     evaluate_on_program,
     leave_one_out,
@@ -13,11 +14,17 @@ from repro.core import (
 from repro.exploration import DesignSpaceDataset
 from repro.sim import Metric
 from repro.workloads import spec2000_suite
+from tests import numeric_env
+
+
+@pytest.fixture(scope="module")
+def cycles_matrix(cycles_pool, small_dataset):
+    return PoolMatrix(cycles_pool.models(), small_dataset.configs)
 
 
 class TestEvaluateOnProgram:
-    def test_score_fields(self, cycles_pool, small_dataset):
-        models = cycles_pool.models(exclude=["swim"])
+    def test_score_fields(self, cycles_matrix, small_dataset):
+        models = cycles_matrix.select(exclude=["swim"])
         score = evaluate_on_program(models, small_dataset, "swim",
                                     responses=32, seed=5)
         assert score.program == "swim"
@@ -26,8 +33,8 @@ class TestEvaluateOnProgram:
         assert 0 <= score.rmae < 100
         assert -1 <= score.correlation <= 1
 
-    def test_seed_changes_split(self, cycles_pool, small_dataset):
-        models = cycles_pool.models(exclude=["swim"])
+    def test_seed_changes_split(self, cycles_matrix, small_dataset):
+        models = cycles_matrix.select(exclude=["swim"])
         a = evaluate_on_program(models, small_dataset, "swim", seed=1)
         b = evaluate_on_program(models, small_dataset, "swim", seed=2)
         assert a.rmae != b.rmae
@@ -74,15 +81,21 @@ class TestFig11Guard:
     sampled configurations, T = 512 training simulations per program
     and R = 32 responses for the left-out one (fig. 11)."""
 
-    #: Exact (mean rmae %, mean correlation) per seed, recorded with
-    #: numpy 2.4.6 on OpenBLAS 0.3.31.  BLAS kernels differ across CPUs
-    #: and numpy builds, and CI installs whatever numpy pip resolves, so
-    #: the exact pair is asserted only under the recorded numpy version;
-    #: the band holds everywhere.
-    RECORDED_NUMPY = "2.4.6"
+    #: Exact (mean rmae %, mean correlation) per seed, recorded under
+    #: ``RECORDED_ENVIRONMENT``.  The last bits follow the BLAS kernel
+    #: OpenBLAS picks for the CPU at run time and the SIMD loops numpy
+    #: dispatches to, and CI installs whatever numpy pip resolves on
+    #: whatever runner it gets, so the exact pair is asserted only under
+    #: the recorded environment; the band holds everywhere.
+    RECORDED_ENVIRONMENT = {
+        "numpy": "2.4.6",
+        "blas": ("scipy-openblas", "0.3.31.188.0"),
+        "blas_core": "SkylakeX",
+        "simd": ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"),
+    }
     EXACT = {
-        2007: (8.241904658055915, 0.9242415672718197),
-        11: (7.8359371640831075, 0.9318034465729904),
+        2007: (8.241904658055914, 0.9242415672718194),
+        11: (7.835937164083104, 0.9318034465729904),
     }
 
     @pytest.mark.parametrize("seed", sorted(EXACT))
@@ -97,8 +110,14 @@ class TestFig11Guard:
         assert result.mean_correlation >= 0.91
         # art is the suite's outlier (Section 7.2).
         assert result.program("art").mean_rmae > result.mean_rmae
-        if np.__version__ == self.RECORDED_NUMPY:
+        if numeric_env.matches(self.RECORDED_ENVIRONMENT):
             assert (result.mean_rmae, result.mean_correlation) == self.EXACT[seed]
+
+    def test_unreadable_blas_core_never_matches(self, monkeypatch):
+        monkeypatch.setattr(numeric_env, "openblas_core", lambda: None)
+        unreadable = numeric_env.numerical_environment()
+        assert unreadable["blas_core"] is None
+        assert not numeric_env.matches(unreadable)
 
 
 class TestCrossSuite:

@@ -67,6 +67,19 @@ class TestSubsets:
         full = small_dataset.values("gzip", Metric.CYCLES)
         assert np.allclose(values, full[[1, 3]])
 
+    @pytest.mark.parametrize(
+        "indices",
+        [[1, 3], (4, 0, 4), range(2, 6), np.array([5, 2, -1]), [],
+         np.array([], dtype=np.intp)],
+        ids=["list", "tuple", "range", "int-array", "empty", "empty-array"],
+    )
+    def test_subset_values_index_forms(self, small_dataset, indices):
+        values = small_dataset.values("gzip", Metric.CYCLES)
+        got = small_dataset.subset_values("gzip", Metric.CYCLES, indices)
+        want = values[list(indices)]
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want)
+
     def test_split_indices_disjoint(self, small_dataset):
         first, rest = small_dataset.split_indices(32, seed=5)
         assert len(first) == 32

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.designspace import Configuration
 from repro.sim import (
     EnergyModel,
     IntervalSimulator,
@@ -105,6 +106,52 @@ class TestEnergyAccounting:
             assert overhead[i] == (
                 model.leakage_power + model.clock_energy_per_cycle
             )
+
+
+class TestOneColumnBuild:
+    """``simulate`` builds the interval model's columns once per call:
+    the reference cycles and energy and the per-cycle overhead share
+    them, with the bits of the two-build version."""
+
+    #: (program, configuration, seed) -> (cycles, energy, cycles_std),
+    #: recorded from the two-build version (300-instruction windows, 3
+    #: replications).
+    PINNED = (
+        ("gzip", (4, 96, 32, 48, 96, 8, 4, 16384, 4096, 16, 32, 32, 2048),
+         1, (4194444.444444445, 30100862.5660842, 317129.2917002796)),
+        ("art", (8, 96, 16, 72, 128, 2, 3, 4096, 1024, 8, 16, 64, 512),
+         7, (11846750.79577004, 44322679.51142096, 1462250.7399594714)),
+        ("applu", (8, 88, 56, 16, 40, 10, 4, 4096, 2048, 24, 128, 32, 2048),
+         11, (13519055.40322563, 56249797.623664916, 2961857.8995922063)),
+        ("mcf", (4, 152, 72, 56, 128, 8, 1, 2048, 2048, 16, 16, 8, 4096),
+         3, (34007551.23657006, 90961561.80266018, 3238443.5500108656)),
+    )
+
+    @pytest.fixture(scope="class")
+    def small_mc(self, space):
+        return MonteCarloSimulator(space, window_instructions=300,
+                                   replications=3)
+
+    @pytest.mark.parametrize("program,values,seed,expected", PINNED)
+    def test_results_unchanged(self, small_mc, program, values, seed,
+                               expected):
+        result = small_mc.simulate(
+            spec2000_profile(program), Configuration.from_values(values),
+            seed=seed,
+        )
+        assert (result.cycles, result.energy, result.cycles_std) == expected
+
+    def test_one_column_build_per_call(self, small_mc, space, monkeypatch):
+        builds = []
+        original = IntervalSimulator._columns
+
+        def counted(self, configs):
+            builds.append(len(configs))
+            return original(self, configs)
+
+        monkeypatch.setattr(IntervalSimulator, "_columns", counted)
+        small_mc.simulate(spec2000_profile("gzip"), space.baseline, seed=1)
+        assert builds == [1]
 
 
 class TestQualitativeAgreement:

@@ -11,6 +11,7 @@ import pytest
 from repro import (
     ArchitectureCentricPredictor,
     Metric,
+    PoolMatrix,
     TrainingPool,
     evaluate_on_program,
     program_specific_score,
@@ -23,10 +24,11 @@ class TestHeadlineClaim:
     @pytest.fixture(scope="class")
     def scores(self, small_dataset, cycles_pool):
         ours, theirs = [], []
+        matrix = PoolMatrix(cycles_pool.models(), small_dataset.configs)
         for program in small_dataset.programs:
-            models = cycles_pool.models(exclude=[program])
             ours.append(
-                evaluate_on_program(models, small_dataset, program,
+                evaluate_on_program(matrix.select(exclude=[program]),
+                                    small_dataset, program,
                                     responses=32, seed=31)
             )
             theirs.append(
@@ -105,9 +107,10 @@ class TestMetricOrdering:
         for metric in (Metric.ENERGY, Metric.ED, Metric.EDD):
             pool = TrainingPool(small_dataset, metric,
                                 training_size=256, seed=7)
+            matrix = PoolMatrix(pool.models(), small_dataset.configs)
             scores = [
                 evaluate_on_program(
-                    pool.models(exclude=[p]), small_dataset, p,
+                    matrix.select(exclude=[p]), small_dataset, p,
                     responses=32, seed=47,
                 ).rmae
                 for p in ("applu", "swim", "mesa")

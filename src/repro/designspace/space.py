@@ -13,7 +13,6 @@ the exact legal-point count by factored enumeration, and converts between
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -113,11 +112,20 @@ class DesignSpace:
         self._by_name: Dict[str, Parameter] = {p.name: p for p in self._parameters}
         # encode_many's lookup tables: each parameter's grid value ->
         # feature, the same quotient Parameter.encode computes.
-        self._values_of = operator.attrgetter(*names)
         self._features_of: Tuple[Dict[int, float], ...] = tuple(
             {value: value / p.encoding_divisor for value in p.values}
             for p in self._parameters
         )
+        # validate_many's grid table: parameter j's values -1 .. max + 1
+        # in one flat boolean array, value v at _grid_offsets[j] + v; the
+        # two ends stand for every value below and above the grid.
+        ceilings = [p.maximum + 1 for p in self._parameters]
+        starts = np.cumsum([0] + [c + 2 for c in ceilings])
+        self._grid_table = np.zeros(starts[-1], dtype=bool)
+        for start, p in zip(starts, self._parameters):
+            self._grid_table[start + 1 + np.array(p.values)] = True
+        self._grid_offsets = starts[:-1] + 1
+        self._grid_ceilings = np.array(ceilings, dtype=float)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -207,6 +215,15 @@ class DesignSpace:
         """True if the configuration is on the grid and legal."""
         return self.is_on_grid(config) and self.satisfies_constraints(config)
 
+    def admits(self, values: Sequence[int]) -> bool:
+        """True if 13 int values in canonical order lie on their grids
+        and meet the constraints: :meth:`is_legal` for a value row, read
+        through :meth:`encode_many`'s lookup tables, so no
+        :class:`Configuration` is built."""
+        return all(map(dict.__contains__, self._features_of, values)) and (
+            meets_constraints(values)
+        )
+
     def validate(self, config: Configuration) -> None:
         """Raise ``ValueError`` with a diagnosis if ``config`` is illegal."""
         for parameter in self._parameters:
@@ -228,10 +245,12 @@ class DesignSpace:
         its grid, else ``config[i] violates legality constraints: ...``.
         """
         values = np.array([config.values() for config in configs])
-        if values.dtype.kind not in "biuf" or not all(
-            np.isin(column, p.values).all()
-            for column, p in zip(values.astype(float).T, self._parameters)
-        ):
+        shape = (len(configs), self.dimensions)
+        on_grid = values.dtype.kind in "biuf"
+        if on_grid:
+            values = values.astype(float).reshape(shape)
+            on_grid = self._on_grid(values)
+        if not on_grid:
             # Name the first value off its grid by validate's own rule,
             # ``value in parameter.values``; a string or None lands here.
             for index, config in enumerate(configs):
@@ -240,7 +259,7 @@ class DesignSpace:
                         self.validate(config)
                     except ValueError as error:
                         raise ValueError(f"config[{index}]: {error}") from None
-        values = values.astype(float).reshape(len(configs), self.dimensions)
+            values = values.astype(float).reshape(shape)
         legal = meets_constraints(values.T)
         if not legal.all():
             index = int(np.argmin(legal))
@@ -249,6 +268,17 @@ class DesignSpace:
                 f"{configs[index]}"
             )
         return values
+
+    def _on_grid(self, values: np.ndarray) -> bool:
+        """True if every entry of an (m, 13) float value matrix lies on
+        its parameter's grid: one gather through the grid table.  NaN
+        and values below the grid read the table's low end, values
+        above it the high end, and a fractional value fails the
+        integrality test."""
+        clipped = np.fmin(np.fmax(values, -1.0), self._grid_ceilings)
+        index = clipped.astype(np.intp)
+        on_grid = self._grid_table[index + self._grid_offsets]
+        return bool((on_grid & (index == clipped)).all())
 
     # ------------------------------------------------------------------
     # Baseline and encoding
@@ -260,39 +290,52 @@ class DesignSpace:
             **{p.name: p.baseline for p in self._parameters}
         )
 
-    def encode(self, config: Configuration) -> np.ndarray:
-        """Encode a configuration as the paper's 13-element feature vector."""
+    def encode(self, row: Iterable[int]) -> np.ndarray:
+        """Encode one configuration as the paper's 13-element feature
+        vector.  ``row`` is a :class:`Configuration` or anything that
+        iterates its 13 values in canonical order, such as
+        :meth:`Configuration.values`."""
+        values = tuple(row)
+        if len(values) != self.dimensions:
+            raise ValueError(
+                f"expected {self.dimensions} values, got {len(values)}"
+            )
         return np.array(
-            [p.encode(getattr(config, p.name)) for p in self._parameters],
+            [p.encode(value) for p, value in zip(self._parameters, values)],
             dtype=float,
         )
 
-    def encode_many(self, configs: Iterable[Configuration]) -> np.ndarray:
+    def encode_many(self, rows: Iterable[Iterable[int]]) -> np.ndarray:
         """Encode configurations as an (n, 13) matrix.
 
-        Accepts any iterable — list, tuple, generator — without the
-        caller having to materialise a fresh list first.
+        Each row is a :class:`Configuration` or a value tuple; both go
+        through the same lookup tables, so a configuration and its
+        value tuple encode alike.  Accepts any iterable — list, tuple,
+        generator — without the caller having to materialise a fresh
+        list first.
         """
-        if not hasattr(configs, "__len__"):
-            configs = list(configs)
-        if len(configs) == 0:
+        if not hasattr(rows, "__len__"):
+            rows = list(rows)
+        if len(rows) == 0:
             return np.empty((0, self.dimensions), dtype=float)
-        lookup, tables = dict.__getitem__, self._features_of
+        # The trailing empty table refuses a 14th value (the last row's
+        # only once the iterator is advanced past the count); a short
+        # row leaves the iterator short.
+        lookup, tables = dict.__getitem__, (*self._features_of, {})
+        values = itertools.chain.from_iterable(
+            map(lookup, tables, row) for row in rows
+        )
         try:
             features = np.fromiter(
-                itertools.chain.from_iterable(
-                    map(lookup, tables, self._values_of(config))
-                    for config in configs
-                ),
-                dtype=float,
-                count=len(configs) * self.dimensions,
+                values, dtype=float, count=len(rows) * self.dimensions
             )
-        except (KeyError, TypeError, AttributeError):
-            # An off-grid, unhashable or missing value: encode row by
-            # row, so the first offending configuration raises exactly
-            # what encode raises for it.
-            return np.stack([self.encode(c) for c in configs])
-        return features.reshape(len(configs), self.dimensions)
+            next(values, None)
+        except (KeyError, TypeError, ValueError):
+            # An off-grid or unhashable value, or a row of the wrong
+            # length: encode row by row, so the first offending row
+            # raises exactly what encode raises for it.
+            return np.stack([self.encode(row) for row in rows])
+        return features.reshape(len(rows), self.dimensions)
 
     def decode(self, features: Sequence[float]) -> Configuration:
         """Invert :meth:`encode`, snapping each feature to its grid."""

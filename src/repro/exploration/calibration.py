@@ -5,13 +5,16 @@ closed-form surrogate ``rmae ~ base + a/sqrt(T) + b/N + c/R^0.7`` whose
 default coefficients were tuned by hand against this repository's
 sweeps.  This module fits those coefficients *empirically*: run a small
 designed measurement (a handful of leave-one-out evaluations across a
-grid of operating points) and solve the resulting linear system — the
-surrogate is linear in its coefficients, so the fit is one least
-squares call.
+grid of operating points) and fit the coefficients by non-negative
+least squares.  The surrogate is linear in its coefficients, and every
+term's premise is that more T, N or R never raises the error, so no
+coefficient may be negative: the fitted rmae is then >= 0 and
+non-increasing in T, N and R at every operating point.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -19,7 +22,6 @@ import numpy as np
 
 from repro.core.crossval import PoolMatrix, evaluate_on_program
 from repro.core.training import TrainingPool
-from repro.ml.linear import LinearRegressor
 from repro.sim.metrics import Metric
 from repro.workloads.profile import stable_seed
 
@@ -52,12 +54,40 @@ class AccuracyModel:
 
 
 def _surrogate_features(points: Sequence[Tuple[int, int, int]]) -> np.ndarray:
+    """The surrogate's design: one column per coefficient, base first."""
     return np.array(
         [
-            [1.0 / np.sqrt(t), 1.0 / n, 1.0 / r**0.7]
+            [1.0, 1.0 / np.sqrt(t), 1.0 / n, 1.0 / r**0.7]
             for t, n, r in points
         ]
     )
+
+
+def _nonnegative_least_squares(
+    design: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    """Exact non-negative least squares for a few columns.
+
+    The optimum is the unconstrained least-squares fit on its own
+    support, so the best non-negative fit over every support of the
+    columns (16 for the surrogate's four) is the optimum.
+    """
+    columns = design.shape[1]
+    best = np.zeros(columns)
+    best_residual = float(target @ target)
+    for support in itertools.product((False, True), repeat=columns):
+        mask = np.array(support)
+        if not mask.any():
+            continue
+        fitted, *_ = np.linalg.lstsq(design[:, mask], target, rcond=None)
+        if (fitted < 0.0).any():
+            continue
+        coefficients = np.zeros(columns)
+        coefficients[mask] = fitted
+        residual = target - design @ coefficients
+        if residual @ residual < best_residual:
+            best, best_residual = coefficients, float(residual @ residual)
+    return best
 
 
 def measure_operating_points(
@@ -124,7 +154,8 @@ def fit_accuracy_model(
     programs: Optional[Sequence[str]] = None,
     seed: int = 0,
 ) -> AccuracyModel:
-    """Fit the surrogate's coefficients from measured operating points.
+    """Fit the surrogate's coefficients from measured operating points,
+    by non-negative least squares (every coefficient >= 0).
 
     Args:
         dataset: Simulated dataset to measure on.
@@ -139,22 +170,19 @@ def fit_accuracy_model(
             "at least four operating points are needed to fit four "
             "coefficients"
         )
-    measured = measure_operating_points(
+    measured = np.array(measure_operating_points(
         dataset, metric, points, programs=programs, seed=seed
-    )
+    ))
     features = _surrogate_features(points)
-    fit = LinearRegressor(fit_intercept=True, ridge=0.0).fit(
-        features, np.array(measured)
+    base, training, pool, response = _nonnegative_least_squares(
+        features, measured
     )
-    predictions = fit.predict(features)
-    residual = float(
-        np.sqrt(np.mean((predictions - np.array(measured)) ** 2))
-    )
+    residual = features @ (base, training, pool, response) - measured
     return AccuracyModel(
-        base=float(fit.intercept_),
-        training_coefficient=float(fit.coefficients[0]),
-        pool_coefficient=float(fit.coefficients[1]),
-        response_coefficient=float(fit.coefficients[2]),
-        residual_rmse=residual,
+        base=float(base),
+        training_coefficient=float(training),
+        pool_coefficient=float(pool),
+        response_coefficient=float(response),
+        residual_rmse=float(np.sqrt(np.mean(residual**2))),
         measurements=len(points),
     )

@@ -40,9 +40,9 @@ or any service promising "the answer for config c is the answer for
 config c" — needs values that are a pure function of the row.
 :meth:`predict_features_invariant` provides exactly that: a slower
 forward pass built only from elementwise ufuncs — an in-order sum over
-the D inputs and a fixed-length last-axis reduction over the H hidden
-units — whose per-row result is independent of what else shares the
-batch (asserted exactly by the serving tests).
+the D inputs and numpy's pairwise order over the H hidden units,
+written out — whose per-row result is independent of what else shares
+the batch (asserted exactly by the serving tests).
 """
 
 from __future__ import annotations
@@ -59,6 +59,44 @@ __all__ = ["StackedEnsemble"]
 #: Exponent clip shared with the per-model path: a wild extrapolation
 #: in log space must not overflow ``10 ** x``.
 _LOG_CLIP = 30.0
+
+
+def _pairwise_sum(terms: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Sum ``terms[:, start:start + count]`` over axis 1 in the order of
+    numpy's ``pairwise_sum``, the inner loop of ``np.add.reduce`` over
+    a contiguous axis:
+
+    * below 8 terms, in sequence from 0.0;
+    * up to 128, eight accumulators over blocks of 8, combined as
+      ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the
+      remainder in sequence;
+    * above 128, the two halves split at ``count // 2`` rounded down to
+      a multiple of 8, each summed recursively.
+
+    Each "term" here is an (N, m) slice, so one ufunc call adds m
+    columns at once.  The accumulators overwrite ``terms``' own slots.
+    """
+    if count < 8:
+        total = terms[:, start] + 0.0
+        for index in range(start + 1, start + count):
+            total += terms[:, index]
+        return total
+    if count <= 128:
+        blocked = start + count - count % 8
+        accumulators = terms[:, start:start + 8]
+        for block in range(start + 8, blocked, 8):
+            accumulators += terms[:, block:block + 8]
+        pairs = accumulators[:, 0::2] + accumulators[:, 1::2]
+        quads = pairs[:, 0::2] + pairs[:, 1::2]
+        total = quads[:, 0] + quads[:, 1]
+        for index in range(blocked, start + count):
+            total += terms[:, index]
+        return total
+    half = count // 2
+    half -= half % 8
+    total = _pairwise_sum(terms, start, half)
+    total += _pairwise_sum(terms, start + half, count - half)
+    return total
 
 
 class StackedEnsemble:
@@ -241,16 +279,19 @@ class StackedEnsemble:
         one stacked evaluation built from elementwise ufuncs only:
 
         * the hidden-layer contraction over D is an explicit in-order
-          sum, ``((0 + x_0 w_0) + x_1 w_1) + ... + x_{D-1} w_{D-1}``,
-          over (N, m, H) arrays;
-        * the output contraction over H is a last-axis
-          ``np.add.reduce``, whose pairwise summation order is fixed by
-          H alone.
+          sum, ``((0 + x_0 w_0) + x_1 w_1) + ... + x_{D-1} w_{D-1}``;
+        * the output contraction over H is :func:`_pairwise_sum`, the
+          order of numpy's own ``np.add.reduce`` over a contiguous
+          H-long axis, written out.
 
         Neither order depends on how many other rows share the call, so
         evaluating a configuration alone, inside any batch, or twice in
         the same batch yields the same bits — the property the serving
         layer's prediction cache and request coalescing are built on.
+
+        The temporaries are (N, H, m), so every step runs m-wide inner
+        loops; elementwise steps give the same bits in any layout, and
+        only the two reduction orders above fix the result.
 
         Slower per configuration than :meth:`predict_features` (the
         contractions do not reach BLAS); use it where determinism
@@ -262,25 +303,29 @@ class StackedEnsemble:
                 f"expected {self.input_dim} features, got {features.shape[1]}"
             )
         members = len(self.programs)
-        # (N, m, D): each member standardises the shared batch itself.
-        x = (features[None, :, :] - self._x_mean[:, None, :]) / (
-            self._x_scale[:, None, :]
-        )
-        # Temporaries stay (N, m, H); the (N, m, D, H) product would be
+        # (N, D, m): each member standardises the shared batch itself.
+        x = (
+            np.ascontiguousarray(features.T)[None, :, :]
+            - self._x_mean[:, :, None]
+        ) / self._x_scale[:, :, None]
+        # Temporaries stay (N, H, m); the (N, D, H, m) product would be
         # D times larger and its reduction slower than this loop.
-        shape = (members, features.shape[0], self.hidden_neurons)
+        shape = (members, self.hidden_neurons, features.shape[0])
         pre = np.zeros(shape)
         term = np.empty(shape)
         for d in range(self.input_dim):
             np.multiply(
-                x[:, :, d, None], self._hidden_weights[:, None, d, :],
+                x[:, d, None, :], self._hidden_weights[:, d, :, None],
                 out=term,
             )
             pre += term
-        pre += self._hidden_bias[:, None, :]
+        pre += self._hidden_bias[:, :, None]
         weighted = np.tanh(pre, out=pre)
-        weighted *= self._output_weights[:, None, :]
-        scaled = np.add.reduce(weighted, axis=2) + self._output_bias[:, None]
+        weighted *= self._output_weights[:, :, None]
+        # np.add.reduce starts from its identity: 0.0 + the pairwise sum.
+        scaled = _pairwise_sum(weighted, 0, self.hidden_neurons)
+        scaled += 0.0
+        scaled += self._output_bias[:, None]
         out = scaled * self._y_scale[:, None] + self._y_mean[:, None]
         if self._log_target.any():
             rows = np.where(self._log_target)[0]
@@ -320,7 +365,9 @@ class StackedEnsemble:
     def log_model_matrix_invariant(self, configs: Sequence) -> np.ndarray:
         """(m, N) log10 design matrix via the batch-invariant forward.
 
-        The serving-grade sibling of :meth:`log_model_matrix`: every
+        ``configs`` are configurations or value tuples, as
+        :meth:`DesignSpace.encode_many` takes them.  The serving-grade
+        sibling of :meth:`log_model_matrix`: every
         row is a pure function of its configuration, so the matrix for
         any sub-batch equals the corresponding rows of the matrix for
         any super-batch, bit for bit.

@@ -24,6 +24,10 @@ optimisations here *exact* rather than approximately right:
   (:meth:`~repro.designspace.configuration.Configuration.values`) can
   serve repeats without a forward pass and still return the same bits.
 
+A request is a list of those value tuples: each is its own cache key
+and the row the forward pass encodes, so serving builds no
+:class:`~repro.designspace.configuration.Configuration`.
+
 Backpressure is explicit: the queue is bounded by parked requests, and
 when it is full :meth:`PredictionBatcher.predict` raises
 :class:`ServerSaturated` immediately instead of buffering unboundedly —
@@ -163,19 +167,21 @@ class PredictionBatcher:
     # ------------------------------------------------------------------
     # The request side
     # ------------------------------------------------------------------
-    async def predict(self, configs: Sequence[Configuration]) -> List[float]:
-        """Every configuration's prediction, as floats in request order.
+    async def predict(self, rows: Sequence[Tuple[int, ...]]) -> List[float]:
+        """Every row's prediction, as floats in request order.
 
-        Cache hits are answered inline; the misses park on the queue as
-        one entry and are answered together once their batch has run.
+        ``rows`` are configurations' value tuples
+        (:meth:`~repro.designspace.configuration.Configuration.values`),
+        each its own cache key.  Cache hits are answered inline; the
+        misses park on the queue as one entry and are answered together
+        once their batch has run.
 
         Raises:
             ServerSaturated: when a miss meets a full or draining queue
                 (nothing of the request is queued).
         """
         registry = get_registry()
-        keys = [config.values() for config in configs]
-        values = [self.cache.get(key) for key in keys]
+        values = [self.cache.get(key) for key in rows]
         missing = [i for i, value in enumerate(values) if value is _MISSING]
         hits = len(values) - len(missing)
         if hits:
@@ -186,9 +192,7 @@ class PredictionBatcher:
             registry.counter("serve.rejected", reason="closed").inc()
             raise ServerSaturated("the prediction batcher is not accepting")
         future = asyncio.get_running_loop().create_future()
-        entry = (
-            [configs[i] for i in missing], [keys[i] for i in missing], future
-        )
+        entry = ([rows[i] for i in missing], future)
         try:
             self._queue.put_nowait(entry)
         except asyncio.QueueFull:
@@ -202,8 +206,8 @@ class PredictionBatcher:
         return values
 
     async def predict_one(self, config: Configuration) -> float:
-        """One configuration's prediction: a one-configuration request."""
-        return (await self.predict([config]))[0]
+        """One configuration's prediction: a one-row request."""
+        return (await self.predict([config.values()]))[0]
 
     # ------------------------------------------------------------------
     # The collector side
@@ -240,8 +244,7 @@ class PredictionBatcher:
 
     async def _execute(
         self,
-        batch: List[Tuple[List[Configuration], List[Tuple[int, ...]],
-                          "asyncio.Future"]],
+        batch: List[Tuple[List[Tuple[int, ...]], "asyncio.Future"]],
         size: int,
     ) -> None:
         """Resolve one collected batch (dedup, cache, forward passes)."""
@@ -253,15 +256,15 @@ class PredictionBatcher:
         # requested five times costs one forward-pass row (invariance
         # guarantees all five see identical bits).  Every configuration
         # counts once: a miss when it costs a row, else a hit.
-        unique: Dict[Tuple[int, ...], Configuration] = {}
+        unique: Dict[Tuple[int, ...], None] = {}
         resolved: Dict[Tuple[int, ...], float] = {}
-        for configs, keys, _ in batch:
-            for config, key in zip(configs, keys):
+        for keys, _ in batch:
+            for key in keys:
                 if key in unique or key in resolved:
                     continue
                 cached = self.cache.get(key)
                 if cached is _MISSING:
-                    unique[key] = config
+                    unique[key] = None
                 else:
                     resolved[key] = cached
         if size > len(unique):
@@ -271,11 +274,11 @@ class PredictionBatcher:
             start = time.perf_counter()
             try:
                 values = await asyncio.get_running_loop().run_in_executor(
-                    None, self._forward, list(unique.values())
+                    None, self._forward, list(unique)
                 )
             except BaseException as error:  # noqa: BLE001 - forwarded
                 registry.counter("serve.errors").inc()
-                for _, _, future in batch:
+                for _, future in batch:
                     if not future.done():
                         future.set_exception(
                             error if isinstance(error, Exception)
@@ -289,16 +292,16 @@ class PredictionBatcher:
                 value = float(value)
                 resolved[key] = value
                 self.cache.put(key, value)
-        for _, keys, future in batch:
+        for keys, future in batch:
             if not future.done():
                 future.set_result([resolved[key] for key in keys])
 
-    def _forward(self, configs: List[Configuration]) -> List[float]:
+    def _forward(self, rows: List[Tuple[int, ...]]) -> List[float]:
         """The worker-thread forward pass: calls of at most
-        ``max_batch`` configurations, each wrapped in a span."""
+        ``max_batch`` rows, each wrapped in a span."""
         values: List[float] = []
-        for start in range(0, len(configs), self.max_batch):
-            chunk = configs[start:start + self.max_batch]
+        for start in range(0, len(rows), self.max_batch):
+            chunk = rows[start:start + self.max_batch]
             with span("serve.batch.predict", size=len(chunk)):
                 values.extend(self._predictor.predict_invariant(chunk))
         return values

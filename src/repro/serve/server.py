@@ -15,8 +15,11 @@ Endpoints:
   mapping (missing parameters take the baseline value).  Values are
   integers on the grid; ``4.0`` passes as ``4``, while a boolean, a
   string or a non-integral or non-finite number gets ``400``.  A single
-  ``{"config": ...}`` object is accepted as shorthand.  Response:
-  ``{"metric": ..., "predictions": [...], "model": {...}}``.
+  ``{"config": ...}`` object is accepted as shorthand.  Each entry
+  becomes its value tuple, the cache key and forward-pass row; only an
+  entry outside the canonical form (exact ints, on the grid, legal)
+  builds a :class:`Configuration`, to normalise it or name its ``400``.
+  Response: ``{"metric": ..., "predictions": [...], "model": {...}}``.
 * ``POST /search`` — body ``{"agent": ..., "budget": ..., "seed": ...}``
   runs a bounded closed-loop search (:mod:`repro.search`) over the
   served model's metric and returns the best configuration found plus
@@ -69,6 +72,12 @@ _log = get_logger("serve.server")
 #: Most configurations accepted in one /predict call.
 _MAX_CONFIGS = 10_000
 
+#: A parameter's position in a value row.
+_POSITION = {name: index for index, name in enumerate(PARAMETER_ORDER)}
+
+#: The element types of a canonical row.
+_EXACT_INT = frozenset({int})
+
 #: /search request bounds: budget and batch caps plus the most
 #: concurrently running searches (each occupies an executor thread).
 _MAX_SEARCH_BUDGET = 4096
@@ -119,6 +128,7 @@ class PredictionServer:
         self.model_info = dict(model_info or {})
         self.model_info.setdefault("metric", predictor.metric.value)
         self._space = space if space is not None else DesignSpace()
+        self._baseline_values = self._space.baseline.values()
         self.batcher = PredictionBatcher(
             predictor,
             max_batch=max_batch,
@@ -358,11 +368,11 @@ class PredictionServer:
                 request_id=request_id,
             )
         try:
-            configs = self._parse_configs(body)
+            rows = self._parse_configs(body)
         except BadRequest as error:
             return _json_error(400, str(error), request_id=request_id)
         try:
-            values = await self.batcher.predict(configs)
+            values = await self.batcher.predict(rows)
         except ServerSaturated as error:
             _log.warning("request %s shed: %s", request_id, error)
             return _json_error(
@@ -490,7 +500,9 @@ class PredictionServer:
         seed = _bounded_int("seed", 0, 0, 2**31 - 1)
         return agent, budget, batch, seed
 
-    def _parse_configs(self, body: bytes) -> List[Configuration]:
+    def _parse_configs(self, body: bytes) -> List[Tuple[int, ...]]:
+        """The request's configurations as value tuples, in order; the
+        first bad entry raises :class:`BadRequest`."""
         try:
             request = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -511,9 +523,42 @@ class PredictionServer:
             raise BadRequest(
                 f"at most {_MAX_CONFIGS} configurations per request"
             )
-        return [self._parse_config(raw) for raw in raw_list]
+        rows = []
+        for raw in raw_list:
+            row = self._canonical_row(raw)
+            if row is None:
+                row = self._parse_config(raw).values()
+            rows.append(row)
+        return rows
+
+    def _canonical_row(self, raw) -> Optional[Tuple[int, ...]]:
+        """``raw``'s value tuple if it is canonical, else ``None``.
+
+        Canonical is a 13-element list (or a mapping of known names,
+        filled from the baseline) of exact ints, each on its grid, that
+        meets the constraints: exactly what :meth:`_parse_config`
+        accepts without normalising, checked without a
+        :class:`Configuration`.  ``True`` hashes like ``1`` and ``4.0``
+        like ``4``, so the type test comes before any lookup.
+        """
+        if type(raw) is dict:
+            row = list(self._baseline_values)
+            try:
+                for name, value in raw.items():
+                    row[_POSITION[name]] = value
+            except KeyError:
+                return None
+        elif type(raw) is list and len(raw) == len(PARAMETER_ORDER):
+            row = raw
+        else:
+            return None
+        if set(map(type, row)) == _EXACT_INT and self._space.admits(row):
+            return tuple(row)
+        return None
 
     def _parse_config(self, raw) -> Configuration:
+        """Normalise one non-canonical entry, or raise the
+        :class:`BadRequest` that names what is wrong with it."""
         if isinstance(raw, dict):
             unknown = set(raw) - set(PARAMETER_ORDER)
             if unknown:

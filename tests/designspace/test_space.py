@@ -15,8 +15,9 @@ TABLE1 = DesignSpace()
 @st.composite
 def raw_configurations(draw):
     """A configuration of grid values with up to three replaced by
-    anything a caller might pass: an off-grid int, a float, an
-    ``np.int64``, a numeric string, a boolean or ``None``."""
+    anything a caller might pass: an off-grid int, an integral,
+    fractional or non-finite float, an ``np.int64``, a numeric string,
+    a boolean or ``None``."""
     values = [draw(st.sampled_from(p.values)) for p in TABLE1.parameters]
     for _ in range(draw(st.integers(0, 3))):
         j = draw(st.integers(0, len(values) - 1))
@@ -25,6 +26,7 @@ def raw_configurations(draw):
             st.integers(-10, 5000),
             st.integers(-(10**20), 10**20),
             st.sampled_from(grid).map(float),
+            st.sampled_from(grid).map(lambda v: v + 0.5),
             st.floats(allow_nan=True, allow_infinity=True),
             st.sampled_from(grid).map(np.int64),
             st.sampled_from(grid).map(str),
@@ -173,6 +175,29 @@ class TestEncoding:
         with pytest.raises(ValueError, match="width"):
             embedded.encode_many([rows[0], wide])
 
+    def test_value_tuples_encode_like_their_configurations(
+        self, space, configs
+    ):
+        rows = list(configs[:50])
+        tuples = [c.values() for c in rows]
+        assert np.array_equal(
+            space.encode_many(tuples), space.encode_many(rows)
+        )
+        assert np.array_equal(space.encode(tuples[3]), space.encode(rows[3]))
+        off_grid = rows[4].replace(rob_size=33)
+        with pytest.raises(ValueError) as expected:
+            space.encode_many([rows[0], off_grid])
+        with pytest.raises(ValueError) as produced:
+            space.encode_many([tuples[0], off_grid.values()])
+        assert str(produced.value) == str(expected.value)
+
+    @pytest.mark.parametrize("length", [0, 12, 14])
+    def test_a_row_of_the_wrong_length_is_refused(self, space, length):
+        row = (list(space.baseline.values()) + [4])[:length]
+        expected = f"expected 13 values, got {length}"
+        with pytest.raises(ValueError, match=expected):
+            space.encode_many([space.baseline.values(), tuple(row)])
+
     def test_decode_wrong_length_rejected(self, space):
         with pytest.raises(ValueError, match="13"):
             space.decode([1.0, 2.0])
@@ -266,6 +291,56 @@ class TestBatchValidation:
         assert np.array_equal(
             values, np.array([c.values() for c in configs], dtype=float)
         )
+
+    @given(
+        batch=st.lists(raw_configurations(), min_size=0, max_size=4),
+        narrow=st.booleans(),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_grid_table_agrees_with_the_isin_check(self, batch, narrow):
+        space = NARROW if narrow else TABLE1
+        outcomes = []
+        for check in (isin_validate_many, DesignSpace.validate_many):
+            try:
+                outcomes.append(check(space, batch))
+            except ValueError as refused:
+                outcomes.append(str(refused))
+        expected, produced = outcomes
+        if isinstance(expected, str):
+            assert produced == expected
+        else:
+            assert produced.dtype == expected.dtype
+            assert np.array_equal(produced, expected)
+
+
+#: A restricted window: its grid table must refuse what Table 1 allows.
+NARROW = restrict(TABLE1, width=(4, 6), rob_size=(64, 128),
+                  l2cache_kb=(1024, 2048), rf_write_ports=(1, 4))
+
+
+def isin_validate_many(space, configs):
+    """``DesignSpace.validate_many`` as it stood before its grid table:
+    one ``np.isin`` per parameter column, kept as the oracle."""
+    values = np.array([config.values() for config in configs])
+    if values.dtype.kind not in "biuf" or not all(
+        np.isin(column, p.values).all()
+        for column, p in zip(values.astype(float).T, space.parameters)
+    ):
+        for index, config in enumerate(configs):
+            if not space.is_on_grid(config):
+                try:
+                    space.validate(config)
+                except ValueError as error:
+                    raise ValueError(f"config[{index}]: {error}") from None
+    values = values.astype(float).reshape(len(configs), space.dimensions)
+    legal = meets_constraints(values.T)
+    if not legal.all():
+        index = int(np.argmin(legal))
+        raise ValueError(
+            f"config[{index}] violates legality constraints: "
+            f"{configs[index]}"
+        )
+    return values
 
 
 class TestConstraintExpression:

@@ -71,6 +71,15 @@ class TestInvariantParity:
         part = fitted_predictor.predict_invariant(subset)
         assert np.array_equal(part, full[10:25])
 
+    def test_value_tuples_predict_like_their_configurations(
+        self, fitted_predictor, holdout_configs
+    ):
+        batch = holdout_configs[:40]
+        assert np.array_equal(
+            fitted_predictor.predict_invariant([c.values() for c in batch]),
+            fitted_predictor.predict_invariant(batch),
+        )
+
     def test_close_to_blas_path(self, fitted_predictor, holdout_configs):
         batch = holdout_configs[:40]
         invariant = fitted_predictor.predict_invariant(batch)
@@ -290,7 +299,7 @@ class TestRequestAccounting:
     def test_mixed_request_order_counters_and_rows(
         self, fitted_predictor, holdout_configs
     ):
-        cached, new_a, new_b = holdout_configs[:3]
+        cached, new_a, new_b = (c.values() for c in holdout_configs[:3])
         request = [new_a, cached, new_a, new_b, cached, new_b, new_a]
         direct = fitted_predictor.predict_invariant(request)
         counting = RowCountingPredictor(fitted_predictor)
@@ -320,7 +329,7 @@ class TestRequestAccounting:
     def test_large_request_splits_into_max_batch_forward_calls(
         self, fitted_predictor, holdout_configs
     ):
-        request = holdout_configs[:50]
+        request = [c.values() for c in holdout_configs[:50]]
         direct = fitted_predictor.predict_invariant(request)
         counting = RowCountingPredictor(fitted_predictor)
 
@@ -345,6 +354,7 @@ class TestRequestAccounting:
 
         release = threading.Event()
         rows = []
+        request = [c.values() for c in holdout_configs[:104]]
 
         class StalledPredictor:
             metric = Metric.CYCLES
@@ -364,16 +374,12 @@ class TestRequestAccounting:
             try:
                 # The collector takes the first request and stalls in
                 # its forward pass; a 100-config request then parks.
-                first = asyncio.ensure_future(
-                    batcher.predict(holdout_configs[:3])
-                )
+                first = asyncio.ensure_future(batcher.predict(request[:3]))
                 await asyncio.sleep(0.05)
-                parked = asyncio.ensure_future(
-                    batcher.predict(holdout_configs[3:103])
-                )
+                parked = asyncio.ensure_future(batcher.predict(request[3:103]))
                 await asyncio.sleep(0.05)
                 with pytest.raises(ServerSaturated):
-                    await batcher.predict(holdout_configs[103:104])
+                    await batcher.predict(request[103:104])
                 assert (
                     registry.value("serve.rejected", reason="queue-full")
                     == 1

@@ -27,9 +27,9 @@ class _SlowPredictor:
         self._inner = inner
         self._delay = delay
 
-    def predict_invariant(self, configs):
+    def predict_invariant(self, rows):
         time.sleep(self._delay)
-        return self._inner.predict_invariant(configs)
+        return self._inner.predict_invariant(rows)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)

@@ -92,7 +92,7 @@ def extreme_frequencies(
     accumulators: Dict[str, Dict[int, float]] = {
         p.name: {value: 0.0 for value in p.values} for p in parameters
     }
-    raw = np.array([list(config.values()) for config in dataset.configs])
+    raw = np.array(dataset.configs)
     names = [p.name for p in parameters]
 
     programs = dataset.programs

@@ -75,7 +75,7 @@ def residuals_by_parameter(
     if len(configs) != residuals.shape[0]:
         raise ValueError("configs and residuals must align")
     absolute = np.abs(residuals)
-    raw = np.array([list(config.values()) for config in configs])
+    raw = np.array(configs)
     names = [p.name for p in space.parameters]
     result: Dict[str, Dict[int, float]] = {}
     for column, name in enumerate(names):

@@ -32,7 +32,7 @@ def _log_values(dataset: DesignSpaceDataset, program: str,
 
 def _raw_columns(dataset: DesignSpaceDataset) -> Dict[str, np.ndarray]:
     names = [p.name for p in dataset.simulator.space.parameters]
-    raw = np.array([list(config.values()) for config in dataset.configs])
+    raw = np.array(dataset.configs)
     return {name: raw[:, i] for i, name in enumerate(names)}
 
 

@@ -816,10 +816,6 @@ def _cmd_publish(args: argparse.Namespace) -> int:
     if fitted is None:
         return 2
     predictor, dataset = fitted
-    config_matrix = np.array(
-        [list(config.values()) for config in dataset.configs],
-        dtype=np.int64,
-    )
     registry = ModelRegistry(args.registry)
     name = args.name or f"{args.program}-{metric.value}"
     try:
@@ -827,7 +823,9 @@ def _cmd_publish(args: argparse.Namespace) -> int:
             predictor,
             name,
             seed=args.seed,
-            config_checksum=array_checksum(config_matrix),
+            config_checksum=array_checksum(
+                np.array(dataset.configs, dtype=np.int64)
+            ),
             notes=args.notes,
         )
     except ValueError as error:

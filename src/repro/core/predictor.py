@@ -192,11 +192,8 @@ class ArchitectureCentricPredictor:
         registry.counter("predict.configs").inc(len(configs))
         return result
 
-    def predict_invariant(self, configs: Sequence) -> np.ndarray:
+    def predict_invariant(self, configs: Sequence[Configuration]) -> np.ndarray:
         """Batch-composition-invariant predictions (the serving path).
-
-        ``configs`` holds :class:`Configuration` objects or their value
-        tuples (:meth:`Configuration.values`), which encode alike.
 
         Identical weights to :meth:`predict`, but every stage — the
         stacked member forward, the log10 design matrix, the combining

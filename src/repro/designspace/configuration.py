@@ -2,15 +2,14 @@
 
 A :class:`Configuration` is one point of the microarchitectural design
 space: a concrete assignment of the 13 varied parameters of Table 1.
-Configurations are hashable value objects so they can key caches of
-simulation results.
+It is a named tuple of those 13 values in canonical order, so it is its
+own value row: it hashes, compares, iterates and converts to numpy as
+that tuple, and keys caches of simulation results and predictions.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 #: Canonical ordering of the 13 varied parameters.  This is the order of
 #: Table 1 and of the paper's feature-vector encoding.
@@ -30,12 +29,8 @@ PARAMETER_ORDER: Tuple[str, ...] = (
     "l2cache_kb",
 )
 
-#: The 13 values of a configuration as one tuple, in canonical order.
-_values_of = operator.attrgetter(*PARAMETER_ORDER)
 
-
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """One point in the 13-parameter design space.
 
     Attributes:
@@ -72,11 +67,12 @@ class Configuration:
 
     def as_dict(self) -> Dict[str, int]:
         """Return the configuration as an ordered parameter->value dict."""
-        return {name: getattr(self, name) for name in PARAMETER_ORDER}
+        return dict(zip(PARAMETER_ORDER, self))
 
     def values(self) -> Tuple[int, ...]:
-        """Return the raw parameter values in canonical order."""
-        return _values_of(self)
+        """Return the raw parameter values in canonical order, as a
+        plain tuple."""
+        return tuple(self)
 
     def replace(self, **overrides: int) -> "Configuration":
         """Return a copy with some parameters replaced."""
@@ -91,15 +87,12 @@ class Configuration:
     def from_values(cls, values: Mapping[str, int] | Tuple[int, ...]) -> "Configuration":
         """Build a configuration from a mapping or a canonical tuple."""
         if isinstance(values, Mapping):
-            return cls(**{name: values[name] for name in PARAMETER_ORDER})
+            return cls(*(values[name] for name in PARAMETER_ORDER))
         if len(values) != len(PARAMETER_ORDER):
             raise ValueError(
                 f"expected {len(PARAMETER_ORDER)} values, got {len(values)}"
             )
-        return cls(**dict(zip(PARAMETER_ORDER, values)))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values())
+        return cls(*values)
 
     def __str__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())

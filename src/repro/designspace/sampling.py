@@ -58,8 +58,9 @@ def sample_configurations(
     while len(chosen) < count:
         columns = [rng.choice(grid, size=batch) for grid in grids]
         legal = meets_constraints(columns)
-        for row in np.column_stack([column[legal] for column in columns]):
-            config = Configuration(*row.tolist())
+        rows = np.column_stack([column[legal] for column in columns])
+        for values in rows.tolist():
+            config = Configuration(*values)
             if unique:
                 if config in seen:
                     continue

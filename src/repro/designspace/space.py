@@ -72,8 +72,8 @@ def meets_constraints(values):
 
     The paper names the first; the rest are the analogous "architectural
     sense" filters that leave its ~18 billion legal points.  ``values``
-    holds the 13 parameters in canonical order: one configuration's
-    value tuple (giving a ``bool``) or 13 value columns (giving a mask).
+    holds the 13 parameters in canonical order: one configuration
+    (giving a ``bool``) or 13 value columns (giving a mask).
     """
     (width, rob, iq, lsq, _rf, read_ports, write_ports, _gshare, _btb,
      _branches, icache, dcache, l2) = values
@@ -126,6 +126,7 @@ class DesignSpace:
             self._grid_table[start + 1 + np.array(p.values)] = True
         self._grid_offsets = starts[:-1] + 1
         self._grid_ceilings = np.array(ceilings, dtype=float)
+        self._baseline = Configuration(*(p.baseline for p in self._parameters))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -204,25 +205,22 @@ class DesignSpace:
     def is_on_grid(self, config: Configuration) -> bool:
         """True if every parameter value lies on its Table 1 grid."""
         return all(
-            getattr(config, p.name) in p.values for p in self._parameters
+            value in p.values for p, value in zip(self._parameters, config)
         )
 
     def satisfies_constraints(self, config: Configuration) -> bool:
         """True if the configuration makes architectural sense."""
-        return meets_constraints(config.values())
+        return meets_constraints(config)
 
     def is_legal(self, config: Configuration) -> bool:
-        """True if the configuration is on the grid and legal."""
-        return self.is_on_grid(config) and self.satisfies_constraints(config)
-
-    def admits(self, values: Sequence[int]) -> bool:
-        """True if 13 int values in canonical order lie on their grids
-        and meet the constraints: :meth:`is_legal` for a value row, read
-        through :meth:`encode_many`'s lookup tables, so no
-        :class:`Configuration` is built."""
-        return all(map(dict.__contains__, self._features_of, values)) and (
-            meets_constraints(values)
-        )
+        """True if the configuration is on the grid and legal.  The grid
+        test reads :meth:`encode_many`'s lookup tables, which hold a
+        value exactly when :meth:`is_on_grid` does."""
+        try:
+            on_grid = all(map(dict.__contains__, self._features_of, config))
+        except TypeError:  # an unhashable value is on no grid
+            return False
+        return on_grid and meets_constraints(config)
 
     def validate(self, config: Configuration) -> None:
         """Raise ``ValueError`` with a diagnosis if ``config`` is illegal."""
@@ -286,16 +284,12 @@ class DesignSpace:
     @property
     def baseline(self) -> Configuration:
         """The paper's baseline machine (Table 1, last column)."""
-        return Configuration(
-            **{p.name: p.baseline for p in self._parameters}
-        )
+        return self._baseline
 
-    def encode(self, row: Iterable[int]) -> np.ndarray:
+    def encode(self, config: Configuration) -> np.ndarray:
         """Encode one configuration as the paper's 13-element feature
-        vector.  ``row`` is a :class:`Configuration` or anything that
-        iterates its 13 values in canonical order, such as
-        :meth:`Configuration.values`."""
-        values = tuple(row)
+        vector."""
+        values = tuple(config)
         if len(values) != self.dimensions:
             raise ValueError(
                 f"expected {self.dimensions} values, got {len(values)}"
@@ -305,37 +299,33 @@ class DesignSpace:
             dtype=float,
         )
 
-    def encode_many(self, rows: Iterable[Iterable[int]]) -> np.ndarray:
-        """Encode configurations as an (n, 13) matrix.
-
-        Each row is a :class:`Configuration` or a value tuple; both go
-        through the same lookup tables, so a configuration and its
-        value tuple encode alike.  Accepts any iterable — list, tuple,
-        generator — without the caller having to materialise a fresh
-        list first.
+    def encode_many(self, configs: Iterable[Configuration]) -> np.ndarray:
+        """Encode configurations as an (n, 13) matrix, one lookup per
+        value.  Accepts any iterable — list, tuple, generator — without
+        the caller having to materialise a fresh list first.
         """
-        if not hasattr(rows, "__len__"):
-            rows = list(rows)
-        if len(rows) == 0:
+        if not hasattr(configs, "__len__"):
+            configs = list(configs)
+        if len(configs) == 0:
             return np.empty((0, self.dimensions), dtype=float)
         # The trailing empty table refuses a 14th value (the last row's
         # only once the iterator is advanced past the count); a short
         # row leaves the iterator short.
         lookup, tables = dict.__getitem__, (*self._features_of, {})
         values = itertools.chain.from_iterable(
-            map(lookup, tables, row) for row in rows
+            map(lookup, tables, config) for config in configs
         )
         try:
             features = np.fromiter(
-                values, dtype=float, count=len(rows) * self.dimensions
+                values, dtype=float, count=len(configs) * self.dimensions
             )
             next(values, None)
         except (KeyError, TypeError, ValueError):
             # An off-grid or unhashable value, or a row of the wrong
             # length: encode row by row, so the first offending row
             # raises exactly what encode raises for it.
-            return np.stack([self.encode(row) for row in rows])
-        return features.reshape(len(rows), self.dimensions)
+            return np.stack([self.encode(config) for config in configs])
+        return features.reshape(len(configs), self.dimensions)
 
     def decode(self, features: Sequence[float]) -> Configuration:
         """Invert :meth:`encode`, snapping each feature to its grid."""
@@ -343,10 +333,9 @@ class DesignSpace:
             raise ValueError(
                 f"expected {self.dimensions} features, got {len(features)}"
             )
-        values = {
-            p.name: p.decode(f) for p, f in zip(self._parameters, features)
-        }
-        return Configuration(**values)
+        return Configuration(
+            *(p.decode(f) for p, f in zip(self._parameters, features))
+        )
 
     # ------------------------------------------------------------------
     # Normalisation helpers used by the ML front end

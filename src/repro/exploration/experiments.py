@@ -127,6 +127,22 @@ class SweepResult:
         return [point.budget for point in self.points]
 
 
+def _sweep_point(
+    budget: int, scores: Sequence[Tuple[float, float]]
+) -> SweepPoint:
+    """The point at ``budget``: mean and spread of the (rmae,
+    correlation) pairs scored there."""
+    errors = [error for error, _ in scores]
+    correlations = [value for _, value in scores]
+    return SweepPoint(
+        budget=budget,
+        rmae_mean=float(np.mean(errors)),
+        rmae_std=float(np.std(errors)),
+        correlation_mean=float(np.mean(correlations)),
+        correlation_std=float(np.std(correlations)),
+    )
+
+
 def training_size_sweep(
     dataset: DesignSpaceDataset,
     metric: Metric,
@@ -143,7 +159,7 @@ def training_size_sweep(
     targets = list(programs) if programs is not None else list(dataset.programs)
     points = []
     for size in sizes:
-        errors, correlations = [], []
+        scores = []
         for repeat in range(repeats):
             for program in targets:
                 score = program_specific_score(
@@ -153,17 +169,8 @@ def training_size_sweep(
                     training_size=size,
                     seed=stable_seed("fig9", program, str(size), str(repeat), str(seed)),
                 )
-                errors.append(score.rmae)
-                correlations.append(score.correlation)
-        points.append(
-            SweepPoint(
-                budget=size,
-                rmae_mean=float(np.mean(errors)),
-                rmae_std=float(np.std(errors)),
-                correlation_mean=float(np.mean(correlations)),
-                correlation_std=float(np.std(correlations)),
-            )
-        )
+                scores.append((score.rmae, score.correlation))
+        points.append(_sweep_point(size, scores))
     return SweepResult(metric=metric, points=tuple(points))
 
 
@@ -196,7 +203,7 @@ def response_sweep(
     ]
     points = []
     for count in counts:
-        errors, correlations = [], []
+        scores = []
         for repeat, matrix in enumerate(matrices):
             for program in targets:
                 score = evaluate_on_program(
@@ -206,17 +213,8 @@ def response_sweep(
                     responses=count,
                     seed=stable_seed("fig10", program, str(count), str(repeat), str(seed)),
                 )
-                errors.append(score.rmae)
-                correlations.append(score.correlation)
-        points.append(
-            SweepPoint(
-                budget=count,
-                rmae_mean=float(np.mean(errors)),
-                rmae_std=float(np.std(errors)),
-                correlation_mean=float(np.mean(correlations)),
-                correlation_std=float(np.std(correlations)),
-            )
-        )
+                scores.append((score.rmae, score.correlation))
+        points.append(_sweep_point(count, scores))
     return SweepResult(metric=metric, points=tuple(points))
 
 
@@ -275,7 +273,7 @@ def comparison_sweep(
     targets = list(programs) if programs is not None else list(dataset.programs)
     points = []
     for budget in budgets:
-        errors, correlations = [], []
+        scores = []
         for repeat in range(repeats):
             for program in targets:
                 score = program_specific_score(
@@ -285,17 +283,8 @@ def comparison_sweep(
                     training_size=budget,
                     seed=stable_seed("fig13", program, str(budget), str(repeat), str(seed)),
                 )
-                errors.append(score.rmae)
-                correlations.append(score.correlation)
-        points.append(
-            SweepPoint(
-                budget=budget,
-                rmae_mean=float(np.mean(errors)),
-                rmae_std=float(np.std(errors)),
-                correlation_mean=float(np.mean(correlations)),
-                correlation_std=float(np.std(correlations)),
-            )
-        )
+                scores.append((score.rmae, score.correlation))
+        points.append(_sweep_point(budget, scores))
     return ComparisonResult(
         metric=metric,
         architecture_centric=ours,
@@ -335,7 +324,7 @@ def training_programs_sweep(
     )
     points = []
     for size in pool_sizes:
-        errors, correlations = [], []
+        scores = []
         for repeat in range(repeats):
             rng = np.random.default_rng(
                 stable_seed("fig14-pick", str(size), str(repeat), str(seed))
@@ -352,17 +341,8 @@ def training_programs_sweep(
                     responses=responses,
                     seed=stable_seed("fig14", program, str(size), str(repeat), str(seed)),
                 )
-                errors.append(score.rmae)
-                correlations.append(score.correlation)
-        points.append(
-            SweepPoint(
-                budget=size,
-                rmae_mean=float(np.mean(errors)),
-                rmae_std=float(np.std(errors)),
-                correlation_mean=float(np.mean(correlations)),
-                correlation_std=float(np.std(correlations)),
-            )
-        )
+                scores.append((score.rmae, score.correlation))
+        points.append(_sweep_point(size, scores))
     return SweepResult(metric=metric, points=tuple(points))
 
 
@@ -398,7 +378,7 @@ def noise_sweep(
     for noise in noise_levels:
         if noise < 0:
             raise ValueError("noise levels must be non-negative")
-        errors, correlations = [], []
+        scores = []
         for program in targets:
             point_seed = stable_seed("noise", program, str(noise), str(seed))
             rng = np.random.default_rng(point_seed)
@@ -412,17 +392,10 @@ def noise_sweep(
             predictor.fit_design(fold.rows(response_idx), noisy)
             predictions = predictor.predict_design(fold.rows(holdout_idx))
             actual = dataset.subset_values(program, metric, holdout_idx)
-            errors.append(rmae(predictions, actual))
-            correlations.append(correlation(predictions, actual))
-        points.append(
-            SweepPoint(
-                budget=int(round(noise * 100)),
-                rmae_mean=float(np.mean(errors)),
-                rmae_std=float(np.std(errors)),
-                correlation_mean=float(np.mean(correlations)),
-                correlation_std=float(np.std(correlations)),
+            scores.append(
+                (rmae(predictions, actual), correlation(predictions, actual))
             )
-        )
+        points.append(_sweep_point(int(round(noise * 100)), scores))
     return SweepResult(metric=metric, points=tuple(points))
 
 
@@ -462,23 +435,14 @@ def drift_sweep(
         drifted = DesignSpaceDataset(
             suite, dataset.configs, dataset.simulator
         )
-        errors, correlations = [], []
+        scores = []
         for program in suite.programs:
             score = evaluate_on_program(
                 matrix, drifted, program, responses=responses,
                 seed=stable_seed("drift", program, str(drift), str(seed)),
             )
-            errors.append(score.rmae)
-            correlations.append(score.correlation)
-        points.append(
-            SweepPoint(
-                budget=int(round(drift * 100)),
-                rmae_mean=float(np.mean(errors)),
-                rmae_std=float(np.std(errors)),
-                correlation_mean=float(np.mean(correlations)),
-                correlation_std=float(np.std(correlations)),
-            )
-        )
+            scores.append((score.rmae, score.correlation))
+        points.append(_sweep_point(int(round(drift * 100)), scores))
     return SweepResult(metric=metric, points=tuple(points))
 
 

@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.designspace.configuration import PARAMETER_ORDER, Configuration
+from repro.designspace.configuration import Configuration
 from repro.runtime.artifact import read_archive, write_archive
 from repro.sim.interval import IntervalSimulator
 from repro.sim.metrics import Metric
@@ -45,13 +45,10 @@ def save_dataset(
     complete regardless of what the caller already touched, and a
     content checksum is embedded so corruption is caught on load.
     """
-    configs = np.array(
-        [list(config.values()) for config in dataset.configs], dtype=np.int64
-    )
     payload = {
         "suite_name": np.array(dataset.suite.name),
         "programs": np.array(list(dataset.programs)),
-        "configs": configs,
+        "configs": np.array(dataset.configs, dtype=np.int64),
     }
     for metric in Metric.all():
         payload[f"metric_{metric.value}"] = dataset.matrix(metric)
@@ -100,10 +97,7 @@ def load_dataset(
                 f"expected {(len(programs), len(config_matrix))}"
             )
         matrices.append(matrix)
-    configs = [
-        Configuration(**dict(zip(PARAMETER_ORDER, row)))
-        for row in config_matrix.tolist()
-    ]
+    configs = [Configuration(*row) for row in config_matrix.tolist()]
     dataset = DesignSpaceDataset(suite, configs, simulator)
     for metric, matrix in zip(Metric.all(), matrices):
         for row, program in enumerate(programs):

@@ -365,9 +365,7 @@ class StackedEnsemble:
     def log_model_matrix_invariant(self, configs: Sequence) -> np.ndarray:
         """(m, N) log10 design matrix via the batch-invariant forward.
 
-        ``configs`` are configurations or value tuples, as
-        :meth:`DesignSpace.encode_many` takes them.  The serving-grade
-        sibling of :meth:`log_model_matrix`: every
+        The serving-grade sibling of :meth:`log_model_matrix`: every
         row is a pure function of its configuration, so the matrix for
         any sub-batch equals the corresponding rows of the matrix for
         any super-batch, bit for bit.

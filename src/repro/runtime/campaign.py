@@ -802,10 +802,7 @@ class CampaignRunner:
         ]
 
     def _config_checksum(self, configs: Sequence[Configuration]) -> str:
-        matrix = np.array(
-            [config.values() for config in configs], dtype=np.int64
-        )
-        return array_checksum(matrix)
+        return array_checksum(np.array(configs, dtype=np.int64))
 
     def _check_manifest(
         self,

@@ -87,7 +87,7 @@ def _batch_fingerprint(
     """Stable identity of one (program, batch) cell."""
     digest = hashlib.sha256(profile.name.encode("utf-8"))
     for config in configs:
-        digest.update(repr(tuple(config.values())).encode("utf-8"))
+        digest.update(repr(tuple(config)).encode("utf-8"))
     return digest.hexdigest()
 
 

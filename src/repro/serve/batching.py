@@ -20,13 +20,14 @@ optimisations here *exact* rather than approximately right:
 * **Coalescing** — a request's answer is the same whether its batch
   held 1 or 64 configurations, so batching is invisible to clients.
 * **Caching** — each prediction is a pure function of its
-  configuration, so an LRU cache keyed by the canonical value tuple
-  (:meth:`~repro.designspace.configuration.Configuration.values`) can
-  serve repeats without a forward pass and still return the same bits.
+  configuration, so an LRU cache keyed by the configuration can serve
+  repeats without a forward pass and still return the same bits.
 
-A request is a list of those value tuples: each is its own cache key
-and the row the forward pass encodes, so serving builds no
-:class:`~repro.designspace.configuration.Configuration`.
+A request is a list of configurations: each is its own cache key and
+the row the forward pass encodes.  A
+:class:`~repro.designspace.configuration.Configuration` hashes and
+compares as the tuple of its 13 values, so the server passes canonical
+rows as plain tuples without building one.
 
 Backpressure is explicit: the queue is bounded by parked requests, and
 when it is full :meth:`PredictionBatcher.predict` raises
@@ -167,14 +168,12 @@ class PredictionBatcher:
     # ------------------------------------------------------------------
     # The request side
     # ------------------------------------------------------------------
-    async def predict(self, rows: Sequence[Tuple[int, ...]]) -> List[float]:
+    async def predict(self, rows: Sequence[Configuration]) -> List[float]:
         """Every row's prediction, as floats in request order.
 
-        ``rows`` are configurations' value tuples
-        (:meth:`~repro.designspace.configuration.Configuration.values`),
-        each its own cache key.  Cache hits are answered inline; the
-        misses park on the queue as one entry and are answered together
-        once their batch has run.
+        ``rows`` are configurations, each its own cache key.  Cache
+        hits are answered inline; the misses park on the queue as one
+        entry and are answered together once their batch has run.
 
         Raises:
             ServerSaturated: when a miss meets a full or draining queue
@@ -244,7 +243,7 @@ class PredictionBatcher:
 
     async def _execute(
         self,
-        batch: List[Tuple[List[Tuple[int, ...]], "asyncio.Future"]],
+        batch: List[Tuple[List[Configuration], "asyncio.Future"]],
         size: int,
     ) -> None:
         """Resolve one collected batch (dedup, cache, forward passes)."""
@@ -256,8 +255,8 @@ class PredictionBatcher:
         # requested five times costs one forward-pass row (invariance
         # guarantees all five see identical bits).  Every configuration
         # counts once: a miss when it costs a row, else a hit.
-        unique: Dict[Tuple[int, ...], None] = {}
-        resolved: Dict[Tuple[int, ...], float] = {}
+        unique: Dict[Configuration, None] = {}
+        resolved: Dict[Configuration, float] = {}
         for keys, _ in batch:
             for key in keys:
                 if key in unique or key in resolved:
@@ -296,7 +295,7 @@ class PredictionBatcher:
             if not future.done():
                 future.set_result([resolved[key] for key in keys])
 
-    def _forward(self, rows: List[Tuple[int, ...]]) -> List[float]:
+    def _forward(self, rows: List[Configuration]) -> List[float]:
         """The worker-thread forward pass: calls of at most
         ``max_batch`` rows, each wrapped in a span."""
         values: List[float] = []

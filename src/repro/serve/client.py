@@ -218,9 +218,6 @@ def _float_or_none(text: Optional[str]) -> Optional[float]:
 def _jsonable(config: ConfigLike):
     if isinstance(config, dict):
         return {name: _integer(value) for name, value in config.items()}
-    if hasattr(config, "values") and callable(config.values):
-        # A Configuration object: send its canonical tuple.
-        return [_integer(v) for v in config.values()]
     return [_integer(v) for v in config]
 
 

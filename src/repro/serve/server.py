@@ -16,9 +16,10 @@ Endpoints:
   integers on the grid; ``4.0`` passes as ``4``, while a boolean, a
   string or a non-integral or non-finite number gets ``400``.  A single
   ``{"config": ...}`` object is accepted as shorthand.  Each entry
-  becomes its value tuple, the cache key and forward-pass row; only an
-  entry outside the canonical form (exact ints, on the grid, legal)
-  builds a :class:`Configuration`, to normalise it or name its ``400``.
+  becomes the tuple of its 13 values, the cache key and forward-pass
+  row; only an entry outside the canonical form (exact ints, on the
+  grid, legal) builds a :class:`Configuration`, to normalise it or name
+  its ``400``.
   Response: ``{"metric": ..., "predictions": [...], "model": {...}}``.
 * ``POST /search`` — body ``{"agent": ..., "budget": ..., "seed": ...}``
   runs a bounded closed-loop search (:mod:`repro.search`) over the
@@ -128,7 +129,6 @@ class PredictionServer:
         self.model_info = dict(model_info or {})
         self.model_info.setdefault("metric", predictor.metric.value)
         self._space = space if space is not None else DesignSpace()
-        self._baseline_values = self._space.baseline.values()
         self.batcher = PredictionBatcher(
             predictor,
             max_batch=max_batch,
@@ -501,8 +501,8 @@ class PredictionServer:
         return agent, budget, batch, seed
 
     def _parse_configs(self, body: bytes) -> List[Tuple[int, ...]]:
-        """The request's configurations as value tuples, in order; the
-        first bad entry raises :class:`BadRequest`."""
+        """The request's configurations, in order, each as the tuple of
+        its 13 values; the first bad entry raises :class:`BadRequest`."""
         try:
             request = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -532,17 +532,18 @@ class PredictionServer:
         return rows
 
     def _canonical_row(self, raw) -> Optional[Tuple[int, ...]]:
-        """``raw``'s value tuple if it is canonical, else ``None``.
+        """``raw``'s 13 values as a tuple if it is canonical, else ``None``.
 
         Canonical is a 13-element list (or a mapping of known names,
         filled from the baseline) of exact ints, each on its grid, that
         meets the constraints: exactly what :meth:`_parse_config`
-        accepts without normalising, checked without a
-        :class:`Configuration`.  ``True`` hashes like ``1`` and ``4.0``
-        like ``4``, so the type test comes before any lookup.
+        accepts without normalising, checked by
+        :meth:`DesignSpace.is_legal` on the row itself.  ``True`` hashes
+        like ``1`` and ``4.0`` like ``4``, so the type test comes before
+        any lookup.
         """
         if type(raw) is dict:
-            row = list(self._baseline_values)
+            row = list(self._space.baseline)
             try:
                 for name, value in raw.items():
                     row[_POSITION[name]] = value
@@ -552,7 +553,7 @@ class PredictionServer:
             row = raw
         else:
             return None
-        if set(map(type, row)) == _EXACT_INT and self._space.admits(row):
+        if set(map(type, row)) == _EXACT_INT and self._space.is_legal(row):
             return tuple(row)
         return None
 

@@ -248,6 +248,30 @@ class TestEnumeration:
         assert all(tiny.is_legal(c) for c in configs)
 
 
+class TestIsLegal:
+    """``is_legal`` reads the encode tables; it must answer exactly
+    what the grid test and the constraints answer together."""
+
+    @given(config=raw_configurations(), narrow=st.booleans())
+    @settings(max_examples=600, deadline=None)
+    def test_equals_on_grid_and_constraints(self, config, narrow):
+        space = NARROW if narrow else TABLE1
+        for row in (config, config.values(), list(config)):
+            expected = space.is_on_grid(row) and space.satisfies_constraints(row)
+            assert space.is_legal(row) == expected
+
+    def test_reads_a_plain_row(self, space):
+        assert space.is_legal(list(space.baseline))
+        assert not space.is_legal(space.baseline.replace(width=5).values())
+        deep = space.baseline.replace(rob_size=160).values()
+        assert space.is_legal(deep) and not NARROW.is_legal(deep)
+
+    def test_unhashable_value_is_off_the_grid(self, space):
+        row = space.baseline.replace(width=[4])
+        assert not space.is_on_grid(row)
+        assert space.is_legal(row) is False
+
+
 class TestBatchValidation:
     """``validate_many`` applies ``validate``'s rules to a batch."""
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.designspace import sample_configurations
 from repro.exploration import DesignSpaceDataset, load_dataset, save_dataset
 from repro.sim import Metric
 
@@ -41,6 +42,32 @@ class TestRoundTrip:
         assert len(first) == 16
         values = restored.subset_values("gzip", Metric.CYCLES, first)
         assert values.shape == (16,)
+
+
+class TestChecksumPin:
+    """The checksum ``save_dataset`` embeds covers the configuration
+    matrix, so an archive written earlier loads only while it stays
+    put.  Recorded when ``Configuration`` was a frozen dataclass."""
+
+    def test_embedded_checksum_does_not_move(self, tmp_path, spec_suite,
+                                             space, simulator):
+        dataset = DesignSpaceDataset(
+            spec_suite.subset(("gzip", "art")),
+            sample_configurations(space, 16, seed=5), simulator,
+        )
+        for k, metric in enumerate(Metric.all()):
+            for j, program in enumerate(dataset.programs):
+                dataset.hydrate(
+                    program, metric,
+                    np.arange(16, dtype=float) + 100 * k + 10 * j + 1,
+                )
+        path = save_dataset(dataset, tmp_path / "pinned.npz")
+        with np.load(path) as archive:
+            assert str(archive["checksum"]) == (
+                "89b981bc583c71524ea11cf011b1966be55e82a5f5cb2d33efd9d19d49d8b414"
+            )
+        restored = load_dataset(path, dataset.suite)
+        assert restored.configs == dataset.configs
 
 
 class TestValidation:

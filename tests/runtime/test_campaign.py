@@ -6,9 +6,12 @@ killed-then-resumed campaign matches an uninterrupted one while
 re-simulating only the unfinished chunks.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.designspace import DesignSpace, sample_configurations
 from repro.runtime import (
     CampaignJournal,
     CampaignRunner,
@@ -822,3 +825,21 @@ class TestGroupCommit:
         with pytest.raises(ValueError, match="layout version 1") as error:
             runner.run(tiny_suite, tiny_configs, resume=True)
         assert "different campaign" not in str(error.value)
+
+
+class TestConfigsChecksumPin:
+    """The manifest's configuration checksum must not move, or a
+    checkpoint written earlier refuses to resume as "a different
+    campaign".  Recorded when ``Configuration`` was a frozen dataclass."""
+
+    PIN = "f32ff121a150c2022f3cefc04fabb8eadebabc077177056c487de02bfa9a78d9"
+
+    def test_manifest_checksum_does_not_move(self, backend, tiny_suite,
+                                             tmp_path):
+        configs = sample_configurations(DesignSpace(), 1024, seed=2007)
+        plan = CampaignRunner(backend, tmp_path / "ck").plan(
+            tiny_suite, configs
+        )
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        assert plan.configs_checksum == self.PIN
+        assert manifest["configs_checksum"] == self.PIN

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.designspace import sample_configurations
 from repro.runtime import (
     FaultInjectingBackend,
     PermanentSimulationError,
     TransientSimulationError,
     VirtualClock,
 )
+from repro.runtime.faults import _batch_fingerprint
 
 
 def _drive(backend, profile, configs, attempts):
@@ -149,3 +151,15 @@ class TestVirtualClock:
     def test_negative_sleep_rejected(self):
         with pytest.raises(ValueError):
             VirtualClock().sleep(-1.0)
+
+
+class TestFingerprintPin:
+    """The cell fingerprint seeds every fault decision, so a recorded
+    fault schedule replays only while it stays put.  Recorded when
+    ``Configuration`` was a frozen dataclass."""
+
+    def test_fingerprint_does_not_move(self, spec_suite, space):
+        configs = sample_configurations(space, 8, seed=3)
+        assert _batch_fingerprint(spec_suite["gzip"], configs) == (
+            "fd5f484549053d2dff7d1c7688f2435135567cb5b16068d65c2d267a8334eb65"
+        )

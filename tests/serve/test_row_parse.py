@@ -428,7 +428,7 @@ def test_canonical_request_builds_no_configuration(
     body = json.dumps({"configs": rows}).encode()
     expected = fitted_predictor.predict_invariant(configs)
     server = PredictionServer(fitted_predictor)
-    calls = {"from_values": 0, "validate": 0, "__init__": 0}
+    calls = {"from_values": 0, "validate": 0, "__new__": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -442,7 +442,7 @@ def test_canonical_request_builds_no_configuration(
         classmethod(counted("from_values", from_values)),
     )
     monkeypatch.setattr(
-        Configuration, "__init__", counted("__init__", Configuration.__init__)
+        Configuration, "__new__", counted("__new__", Configuration.__new__)
     )
     monkeypatch.setattr(
         DesignSpace, "validate", counted("validate", DesignSpace.validate)
@@ -458,4 +458,4 @@ def test_canonical_request_builds_no_configuration(
     status, payload, _, _ = asyncio.run(scenario())
     assert status == 200
     assert np.array_equal(json.loads(payload)["predictions"], expected)
-    assert calls == {"from_values": 0, "validate": 0, "__init__": 0}
+    assert calls == {"from_values": 0, "validate": 0, "__new__": 0}

@@ -41,41 +41,48 @@ The subpackages:
 * :mod:`repro.obs` — logging, metrics, tracing, SLOs and run manifests.
 """
 
-from repro.core import (
-    ArchitectureCentricPredictor,
-    PoolMatrix,
-    ProgramSpecificPredictor,
-    TrainingPool,
-    cross_suite,
-    evaluate_on_program,
-    leave_one_out,
-    program_specific_score,
-)
-from repro.designspace import Configuration, DesignSpace, sample_configurations
-from repro.exploration import DesignSpaceDataset
-from repro.ml import correlation, rmae
-from repro.sim import IntervalSimulator, Metric
-from repro.workloads import mibench_suite, spec2000_suite
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ArchitectureCentricPredictor",
-    "Configuration",
-    "DesignSpace",
-    "DesignSpaceDataset",
-    "IntervalSimulator",
-    "Metric",
-    "PoolMatrix",
-    "ProgramSpecificPredictor",
-    "TrainingPool",
-    "correlation",
-    "cross_suite",
-    "evaluate_on_program",
-    "leave_one_out",
-    "mibench_suite",
-    "program_specific_score",
-    "rmae",
-    "sample_configurations",
-    "spec2000_suite",
-]
+#: Each top-level name and the subpackage that defines it.  A name is
+#: imported on first access (PEP 562), so ``import repro.sim`` or
+#: ``from repro.designspace import ...`` compiles no other subpackage.
+_EXPORTS = {
+    "ArchitectureCentricPredictor": "repro.core",
+    "PoolMatrix": "repro.core",
+    "ProgramSpecificPredictor": "repro.core",
+    "TrainingPool": "repro.core",
+    "cross_suite": "repro.core",
+    "evaluate_on_program": "repro.core",
+    "leave_one_out": "repro.core",
+    "program_specific_score": "repro.core",
+    "Configuration": "repro.designspace",
+    "DesignSpace": "repro.designspace",
+    "sample_configurations": "repro.designspace",
+    "DesignSpaceDataset": "repro.exploration",
+    "correlation": "repro.ml",
+    "rmae": "repro.ml",
+    "IntervalSimulator": "repro.sim",
+    "Metric": "repro.sim",
+    "mibench_suite": "repro.workloads",
+    "spec2000_suite": "repro.workloads",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

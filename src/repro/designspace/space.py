@@ -223,38 +223,53 @@ class DesignSpace:
         return on_grid and meets_constraints(config)
 
     def validate(self, config: Configuration) -> None:
-        """Raise ``ValueError`` with a diagnosis if ``config`` is illegal."""
-        for parameter in self._parameters:
-            value = getattr(config, parameter.name)
+        """Raise ``ValueError`` with a diagnosis if ``config`` (a
+        configuration or any row of 13 values in canonical order) is
+        illegal.  A plain row gets the text its configuration gets."""
+        values = tuple(config)
+        if len(values) != self.dimensions:
+            raise ValueError(
+                f"expected {self.dimensions} values, got {len(values)}"
+            )
+        for parameter, value in zip(self._parameters, values):
             if value not in parameter.values:
                 raise ValueError(
                     f"{parameter.name}={value!r} is off the grid "
                     f"{parameter.values}"
                 )
-        if not self.satisfies_constraints(config):
-            raise ValueError(f"configuration violates legality constraints: {config}")
+        if not meets_constraints(values):
+            raise ValueError(
+                "configuration violates legality constraints: "
+                f"{Configuration(*values)}"
+            )
 
     def validate_many(self, configs: Sequence[Configuration]) -> np.ndarray:
         """Validate a batch and return its (m, 13) float value matrix.
 
-        The batch form of :meth:`validate`.  The error names the first
-        offending configuration, by index and then parameter order:
-        ``config[i]: `` and :meth:`validate`'s message for a value off
-        its grid, else ``config[i] violates legality constraints: ...``.
+        The batch form of :meth:`validate`, over configurations or any
+        rows of 13 values.  The error names the first offending row, by
+        index and then parameter order: ``config[i]: `` and
+        :meth:`validate`'s message for a value off its grid or a row of
+        another length, else ``config[i] violates legality constraints:
+        ...``.
         """
-        values = np.array([config.values() for config in configs])
-        shape = (len(configs), self.dimensions)
-        on_grid = values.dtype.kind in "biuf"
+        rows = list(map(tuple, configs))
+        shape = (len(rows), self.dimensions)
+        try:
+            values = np.array(rows)
+        except ValueError:  # rows of different lengths
+            values = np.empty(0)
+        on_grid = values.shape == shape and values.dtype.kind in "biuf"
         if on_grid:
-            values = values.astype(float).reshape(shape)
+            values = values.astype(float)
             on_grid = self._on_grid(values)
         if not on_grid:
             # Name the first value off its grid by validate's own rule,
             # ``value in parameter.values``; a string or None lands here.
-            for index, config in enumerate(configs):
-                if not self.is_on_grid(config):
+            for index, row in enumerate(rows):
+                if len(row) != self.dimensions or not self.is_on_grid(row):
                     try:
-                        self.validate(config)
+                        self.validate(row)
                     except ValueError as error:
                         raise ValueError(f"config[{index}]: {error}") from None
             values = values.astype(float).reshape(shape)
@@ -263,7 +278,7 @@ class DesignSpace:
             index = int(np.argmin(legal))
             raise ValueError(
                 f"config[{index}] violates legality constraints: "
-                f"{configs[index]}"
+                f"{Configuration(*rows[index])}"
             )
         return values
 

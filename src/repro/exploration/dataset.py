@@ -87,34 +87,56 @@ class DesignSpaceDataset:
         return self.suite.programs
 
     def values(self, program: str, metric: Metric) -> np.ndarray:
-        """Metric values of one program over all configurations (cached)."""
+        """Metric values of one program over all configurations (cached).
+
+        A miss simulates, in one suite call, every program of the suite
+        still missing ``metric`` (all their phases when ``phases > 1``),
+        and caches each program's four metrics where not yet cached: a
+        hydrated metric is never overwritten.
+        """
         key = (program, metric)
         if key not in self._cache:
-            profile = self.suite[program]
-            if self.phases == 1:
-                batch = self.simulator.simulate_batch(
-                    profile, list(self.configs)
-                )
-                cycles, energy = batch.cycles, batch.energy
-            else:
-                # Additive metrics combine across weighted phases; the
-                # derived products are computed from the combined values.
-                parts = decompose(profile, self.phases)
-                weights = np.array([phase.weight for phase in parts])
-                cycle_rows, energy_rows = [], []
-                for phase in parts:
-                    batch = self.simulator.simulate_batch(
-                        phase.profile, list(self.configs)
-                    )
-                    cycle_rows.append(batch.cycles)
-                    energy_rows.append(batch.energy)
-                cycles = combine_phase_metrics(np.stack(cycle_rows), weights)
-                energy = combine_phase_metrics(np.stack(energy_rows), weights)
-            self._cache[(program, Metric.CYCLES)] = cycles
-            self._cache[(program, Metric.ENERGY)] = energy
-            self._cache[(program, Metric.ED)] = energy * cycles
-            self._cache[(program, Metric.EDD)] = energy * cycles * cycles
+            self.suite[program]  # an unknown program raises KeyError
+            self._simulate_missing(metric)
         return self._cache[key]
+
+    def _simulate_missing(self, metric: Metric) -> None:
+        missing = [
+            program for program in self.programs
+            if (program, metric) not in self._cache
+        ]
+        profiles = [self.suite[program] for program in missing]
+        configs = list(self.configs)
+        if self.phases == 1:
+            batches = self.simulator.simulate_suite(profiles, configs)
+            results = [(batch.cycles, batch.energy) for batch in batches]
+        else:
+            # Additive metrics combine across weighted phases; the
+            # derived products are computed from the combined values.
+            parts = [decompose(profile, self.phases) for profile in profiles]
+            batches = self.simulator.simulate_suite(
+                [phase.profile for phases in parts for phase in phases],
+                configs,
+            )
+            results = []
+            for index, phases in enumerate(parts):
+                rows = batches[index * self.phases:(index + 1) * self.phases]
+                weights = np.array([phase.weight for phase in phases])
+                results.append(tuple(
+                    combine_phase_metrics(
+                        np.stack([batch.metric(additive) for batch in rows]),
+                        weights,
+                    )
+                    for additive in (Metric.CYCLES, Metric.ENERGY)
+                ))
+        for program, (cycles, energy) in zip(missing, results):
+            for name, values in (
+                (Metric.CYCLES, cycles),
+                (Metric.ENERGY, energy),
+                (Metric.ED, energy * cycles),
+                (Metric.EDD, energy * cycles * cycles),
+            ):
+                self._cache.setdefault((program, name), values)
 
     def hydrate(
         self, program: str, metric: Metric, values: np.ndarray

@@ -25,6 +25,7 @@ can be unreadable (truncation, zip damage, missing keys) into one
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pathlib
@@ -37,6 +38,7 @@ import numpy as np
 __all__ = [
     "CHECKSUM_KEY",
     "FORMAT_KEY",
+    "dtype_text",
     "payload_checksum",
     "read_archive",
     "write_archive",
@@ -49,6 +51,13 @@ FORMAT_KEY = "format_version"
 CHECKSUM_KEY = "checksum"
 
 _RESERVED = (FORMAT_KEY, CHECKSUM_KEY)
+
+
+@functools.lru_cache(maxsize=None)
+def dtype_text(dtype: np.dtype) -> bytes:
+    """The text a digest folds in for ``dtype``: ``str(dtype)``, which
+    takes ~3 µs, memoised (a digest hashes the same few dtypes)."""
+    return str(dtype).encode("utf-8")
 
 
 def payload_checksum(payload: Mapping[str, np.ndarray]) -> str:
@@ -64,7 +73,7 @@ def payload_checksum(payload: Mapping[str, np.ndarray]) -> str:
             continue
         array = np.asarray(payload[name])
         digest.update(name.encode("utf-8"))
-        digest.update(str(array.dtype).encode("utf-8"))
+        digest.update(dtype_text(array.dtype))
         digest.update(str(array.shape).encode("utf-8"))
         digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()

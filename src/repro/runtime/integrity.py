@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.sim.interval import BatchResult
 
-from .artifact import payload_checksum
+from .artifact import dtype_text, payload_checksum
 
 _BATCH_FIELDS = ("cycles", "energy", "ed", "edd")
 
@@ -31,7 +31,7 @@ def array_checksum(*arrays: np.ndarray) -> str:
     digest = hashlib.sha256()
     for array in arrays:
         array = np.asarray(array)
-        digest.update(str(array.dtype).encode("utf-8"))
+        digest.update(dtype_text(array.dtype))
         digest.update(str(array.shape).encode("utf-8"))
         digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()

@@ -35,11 +35,12 @@ def branch_penalties(
 
     Args:
         behaviour: The program's branch-predictability model.
-        branch_fraction: Fraction of instructions that are branches.
+        branch_fraction: Fraction of instructions that are branches:
+            a scalar, or with a stacked ``behaviour`` a (P, 1) column.
         gshare_entries: Scalar or array of gshare table sizes.
         btb_entries: Scalar or array of BTB sizes.
     """
-    if not 0.0 <= branch_fraction < 1.0:
+    if not np.all((0.0 <= branch_fraction) & (branch_fraction < 1.0)):
         raise ValueError("branch_fraction must be a probability")
     mispredict = np.asarray(
         behaviour.mispredict_rate(gshare_entries), dtype=float

@@ -71,7 +71,9 @@ def effective_miss_ratios(
 ) -> HierarchyMissRatios:
     """:func:`hierarchy_miss_ratios` from the caches' effective
     capacities (:func:`effective_capacity`), which depend on the
-    configuration alone and so can be computed once per batch."""
+    configuration alone and so can be computed once per batch.  A
+    stacked locality (:func:`repro.workloads.profile.stacked`) gives
+    (P, rows) ratios."""
     l1_miss = np.asarray(locality.miss_ratio(l1_effective), dtype=float)
     l2_capacity_miss = np.asarray(locality.miss_ratio(l2_effective), dtype=float)
     # An inclusive L2 smaller than its L1 would be degenerate; the design

@@ -37,14 +37,14 @@ and clock power integrated over the elapsed cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.designspace.configuration import PARAMETER_ORDER, Configuration
 from repro.designspace.space import DesignSpace
-from repro.workloads.profile import WorkloadProfile
+from repro.workloads.profile import WorkloadProfile, stacked
 
 from . import energy as energy_model
 from .branch import branch_penalties
@@ -57,6 +57,15 @@ _INSTRUCTIONS_PER_FETCH = 8.0
 #: Exponent of the smooth minimum combining window ILP and structural
 #: width limits (higher = closer to a hard min).
 _SOFT_MIN_POWER = 4.0
+#: (program, configuration) cells per block of a suite pass: a block's
+#: temporaries are (P, 4096 // P) arrays of 32 KB whatever the batch
+#: size, as :class:`repro.core.crossval.PoolMatrix` blocks its rows.
+_BLOCK_CELLS = 4096
+#: Rows per idiosyncrasy evaluation.  Its three (rows, bumps, 13)
+#: temporaries stay under ~160 KB each, in cache and reused by the
+#: allocator: 3,000 rows take ~1.3 ms in 256-row calls against ~3.3 ms
+#: in one, which returns its pages to the OS on every call.
+_FACTOR_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -124,6 +133,28 @@ class _Columns:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.values[name]
 
+    def __len__(self) -> int:
+        return len(self.unit)
+
+    def rows(self, start: int, stop: int) -> "_Columns":
+        """The configurations ``start:stop`` of every column (views)."""
+        if start == 0 and stop >= len(self):
+            return self
+        cut = slice(start, stop)
+        energies = self.energies
+        return _Columns(
+            values={name: column[cut] for name, column in self.values.items()},
+            unit=self.unit[cut],
+            units={name: count[cut] for name, count in self.units.items()},
+            capacity={
+                name: column[cut] for name, column in self.capacity.items()
+            },
+            energies=energy_model.StructureEnergies(*(
+                getattr(energies, item.name)[cut] for item in fields(energies)
+            )),
+            overhead_per_cycle=self.overhead_per_cycle[cut],
+        )
+
 
 class IntervalSimulator:
     """Vectorised first-order simulator over a design space."""
@@ -172,32 +203,44 @@ class IntervalSimulator:
         everything that reads the configurations alone: raw values,
         unit-cube coordinates, functional-unit counts, effective cache
         capacities, per-access energies, and leakage plus clock energy
-        per cycle.  Terms that read the program alone (the
-        idiosyncrasies' seeded bump draws) are cached per program across
-        calls.  Each program's pass then holds only the arithmetic that
-        reads both.
+        per cycle.  The programs' parameters are stacked into (P, 1)
+        columns (:func:`~repro.workloads.profile.stacked`, cached per
+        suite), and the idiosyncrasies' seeded bump draws are cached per
+        program.  The terms that read both then run as (P, rows) arrays,
+        one pass for all programs over blocks of at most
+        :data:`_BLOCK_CELLS` (program, configuration) cells, so memory
+        stays flat in the batch size.
         """
         columns = self._columns(configs)
+        profiles = tuple(profiles)
+        if not profiles:
+            return []
+        programs = stacked(profiles)
+        count, size = len(profiles), len(columns)
+        cycles = np.empty((count, size))
+        energy = np.empty((count, size))
+        step = max(1, _BLOCK_CELLS // count)
+        for start in range(0, size, step):
+            stop = start + step
+            block_cycles, block_energy, _ = self._evaluate_programs(
+                programs, columns.rows(start, stop)
+            )
+            cycles[:, start:stop] = block_cycles
+            energy[:, start:stop] = block_energy
+        metrics = derive_metrics(cycles, energy)
         return [
-            self._batch_from_columns(profile, columns)
-            for profile in profiles
+            BatchResult(
+                cycles=metrics[Metric.CYCLES][row],
+                energy=metrics[Metric.ENERGY][row],
+                ed=metrics[Metric.ED][row],
+                edd=metrics[Metric.EDD][row],
+            )
+            for row in range(count)
         ]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _batch_from_columns(
-        self, profile: WorkloadProfile, columns: _Columns
-    ) -> BatchResult:
-        cycles, energy, _ = self._evaluate(profile, columns)
-        metrics = derive_metrics(cycles, energy)
-        return BatchResult(
-            cycles=metrics[Metric.CYCLES],
-            energy=metrics[Metric.ENERGY],
-            ed=metrics[Metric.ED],
-            edd=metrics[Metric.EDD],
-        )
-
     def _columns(self, configs: Sequence[Configuration]) -> _Columns:
         """Validate a batch and evaluate its configuration-only terms.
 
@@ -235,18 +278,18 @@ class IntervalSimulator:
         )
 
     def _effective_window(
-        self, profile: WorkloadProfile, columns: _Columns
+        self, programs: WorkloadProfile, columns: _Columns
     ) -> np.ndarray:
-        """Binding out-of-order window (instructions)."""
-        mix = profile.mix
+        """Binding out-of-order window (instructions), (P, rows)."""
+        mix = programs.mix
         rename = np.maximum(
             1.0,
             (columns["rf_size"] - self.fixed.architected_registers)
-            / profile.dest_fraction,
+            / programs.dest_fraction,
         )
-        branch_limit = columns["max_branches"] / max(mix.branch, 1e-6)
-        iq_limit = columns["iq_size"] / profile.iq_pressure
-        lsq_limit = columns["lsq_size"] / max(mix.memory, 1e-6)
+        branch_limit = columns["max_branches"] / np.maximum(mix.branch, 1e-6)
+        iq_limit = columns["iq_size"] / programs.iq_pressure
+        lsq_limit = columns["lsq_size"] / np.maximum(mix.memory, 1e-6)
         window = np.minimum(columns["rob_size"], rename)
         window = np.minimum(window, branch_limit)
         window = np.minimum(window, iq_limit)
@@ -254,37 +297,54 @@ class IntervalSimulator:
         return np.maximum(window, 1.0)
 
     def _structural_ipc(
-        self, profile: WorkloadProfile, columns: _Columns
+        self, programs: WorkloadProfile, columns: _Columns
     ) -> np.ndarray:
-        """Width / ports / functional-unit issue-rate ceiling."""
-        mix = profile.mix
+        """Width / ports / functional-unit issue-rate ceiling, (P, rows).
+
+        A unit class absent from a program's mix gives ``count / 0``,
+        +inf, which the running minimum ignores; any fraction up to
+        1e-9 gives a limit of at least 1e9, above every width.
+        """
+        mix = programs.mix
         width = columns["width"]
         units = columns.units
         port_limit = np.minimum(
-            columns["rf_read_ports"] / profile.reads_per_instruction,
-            columns["rf_write_ports"] / profile.dest_fraction,
+            columns["rf_read_ports"] / programs.reads_per_instruction,
+            columns["rf_write_ports"] / programs.dest_fraction,
         )
         fu_limit = np.full_like(width, np.inf)
-        for count, fraction in (
-            (units["int_alu"], mix.int_alu),
-            (units["int_mul"], mix.int_mul),
-            (units["fp_alu"], mix.fp_alu),
-            (units["fp_mul"], mix.fp_mul),
-            (units["dcache_ports"], mix.memory),
-        ):
-            if fraction > 1e-9:
+        with np.errstate(divide="ignore"):
+            for count, fraction in (
+                (units["int_alu"], mix.int_alu),
+                (units["int_mul"], mix.int_mul),
+                (units["fp_alu"], mix.fp_alu),
+                (units["fp_mul"], mix.fp_mul),
+                (units["dcache_ports"], mix.memory),
+            ):
                 fu_limit = np.minimum(fu_limit, count / fraction)
         return np.minimum(width, np.minimum(port_limit, fu_limit))
 
     def _evaluate(self, profile: WorkloadProfile, columns: _Columns):
-        """Core vectorised evaluation -> (cycles, energy, breakdown)."""
-        fixed = self.fixed
-        mix = profile.mix
-        instructions = float(profile.instructions)
+        """One program over a whole batch -> (cycles, energy, breakdown),
+        each a 1-D array over the configurations: the P = 1 case of
+        :meth:`_evaluate_programs`."""
+        cycles, energy, breakdown = self._evaluate_programs(
+            stacked((profile,)), columns
+        )
+        return cycles[0], energy[0], {
+            name: values[0] for name, values in breakdown.items()
+        }
 
-        window = self._effective_window(profile, columns)
-        ipc_window = np.asarray(profile.ilp(window), dtype=float)
-        ipc_struct = self._structural_ipc(profile, columns)
+    def _evaluate_programs(self, programs: WorkloadProfile, columns: _Columns):
+        """Core vectorised evaluation of a :func:`stacked` profile ->
+        (cycles, energy, breakdown), each (P, rows)."""
+        fixed = self.fixed
+        mix = programs.mix
+        instructions = programs.instructions
+
+        window = self._effective_window(programs, columns)
+        ipc_window = np.asarray(programs.ilp(window), dtype=float)
+        ipc_struct = self._structural_ipc(programs, columns)
         # Smooth minimum: both limits bind gradually, as in real machines.
         p = _SOFT_MIN_POWER
         ipc_base = (ipc_window**-p + ipc_struct**-p) ** (-1.0 / p)
@@ -292,7 +352,7 @@ class IntervalSimulator:
 
         # Branches ---------------------------------------------------------
         branches = branch_penalties(
-            profile.branches,
+            programs.branches,
             mix.branch,
             columns["gshare_size"],
             columns["btb_size"],
@@ -308,7 +368,7 @@ class IntervalSimulator:
         # Instruction fetch -------------------------------------------------
         capacity = columns.capacity
         imiss = effective_miss_ratios(
-            profile.instruction_locality, capacity["icache"], capacity["l2"]
+            programs.instruction_locality, capacity["icache"], capacity["l2"]
         )
         fetches_per_instruction = 1.0 / _INSTRUCTIONS_PER_FETCH
         icache_penalty = fetches_per_instruction * (
@@ -318,15 +378,15 @@ class IntervalSimulator:
 
         # Data memory ---------------------------------------------------------
         dmiss = effective_miss_ratios(
-            profile.data_locality, capacity["dcache"], capacity["l2"]
+            programs.data_locality, capacity["dcache"], capacity["l2"]
         )
-        hide = np.exp(-window / profile.latency_hiding_scale)
+        hide = np.exp(-window / programs.latency_hiding_scale)
         l2_hit_penalty = (
             mix.load * dmiss.l1 * (1.0 - dmiss.l2_local) * fixed.l2_latency * hide
         )
         misses_in_window = window * mix.load * dmiss.l2_global
         mlp = np.minimum(
-            profile.mlp_max,
+            programs.mlp_max,
             np.minimum(1.0 + misses_in_window, float(fixed.mshr_entries)),
         )
         mlp = np.maximum(mlp, 1.0)
@@ -346,16 +406,16 @@ class IntervalSimulator:
             + memory_penalty
             + store_penalty
         )
-        perf_factor = profile.idiosyncrasy_performance.factor(columns.unit)
-        cycles = cpi * instructions * perf_factor
+        cycles = cpi * instructions * self._factors(
+            programs.idiosyncrasy_performance, columns
+        )
 
         # Energy -------------------------------------------------------------
         energy = self._energy(
-            profile, columns, instructions, cycles, ipc_base, resolve,
+            programs, columns, instructions, cycles, ipc_base, resolve,
             branches, imiss, dmiss,
         )
-        energy_factor = profile.idiosyncrasy_energy.factor(columns.unit)
-        energy = energy * energy_factor
+        energy = energy * self._factors(programs.idiosyncrasy_energy, columns)
 
         breakdown = {
             "window": window,
@@ -371,11 +431,23 @@ class IntervalSimulator:
         }
         return cycles, energy, breakdown
 
+    @staticmethod
+    def _factors(idiosyncrasies, columns: _Columns) -> np.ndarray:
+        """(P, rows) idiosyncrasy factors: one RBF evaluation per program
+        (each draws its own bumps) per :data:`_FACTOR_ROWS` rows."""
+        unit = columns.unit
+        factors = np.empty((len(idiosyncrasies), len(unit)))
+        for start in range(0, len(unit), _FACTOR_ROWS):
+            stop = start + _FACTOR_ROWS
+            for row, idiosyncrasy in enumerate(idiosyncrasies):
+                factors[row, start:stop] = idiosyncrasy.factor(unit[start:stop])
+        return factors
+
     def _energy(
         self,
-        profile: WorkloadProfile,
+        programs: WorkloadProfile,
         columns: _Columns,
-        instructions: float,
+        instructions: np.ndarray,
         cycles: np.ndarray,
         ipc_base: np.ndarray,
         resolve: np.ndarray,
@@ -386,9 +458,9 @@ class IntervalSimulator:
         """Wattch-style energy: activity x per-access energy + overheads.
 
         The per-access energies and the per-cycle overhead come from the
-        column build; only the activity counts read the program.
+        column build; only the activity counts read the programs.
         """
-        mix = profile.mix
+        mix = programs.mix
         e = columns.energies
 
         # Wrong-path inflation: speculatively fetched/renamed work that a
@@ -413,8 +485,8 @@ class IntervalSimulator:
             + e.rename_access * spec
             + (e.rob_write + e.rob_read) * spec
             + (e.iq_write + e.iq_wakeup) * spec
-            + profile.reads_per_instruction * e.rf_read * spec
-            + profile.dest_fraction * e.rf_write * spec
+            + programs.reads_per_instruction * e.rf_read * spec
+            + programs.dest_fraction * e.rf_write * spec
             + mix.memory * (e.lsq_write + e.dcache_access) * spec
             + mix.load * e.lsq_search * spec
             + alu * spec

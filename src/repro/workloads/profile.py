@@ -22,10 +22,35 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Dict, Tuple
 
 import numpy as np
+
+#: Exponents for which numpy computes ``x ** e`` with one scalar ``e``
+#: by a shortcut (``1 / x``, ``sqrt(x)``, ``x * x``) that can round
+#: differently from its general ``power`` loop.
+_SHORTCUT_EXPONENTS = frozenset((-1.0, 0.5, 2.0))
+
+
+def _power(base, exponent):
+    """``base ** exponent`` for a scalar exponent, or for a (P, 1)
+    column of per-program exponents against (n,) or (P, n) bases.
+
+    Each row of a column's result equals that row's scalar power bit
+    for bit.  numpy takes its scalar shortcuts for a column exponent
+    only in some loop orders, so a row whose exponent has one is
+    recomputed with its scalar.
+    """
+    result = base ** exponent
+    if np.ndim(exponent) == 2:
+        rows = exponent[:, 0].tolist()
+        if not _SHORTCUT_EXPONENTS.isdisjoint(rows):
+            base = np.broadcast_to(base, result.shape)
+            for row, value in enumerate(rows):
+                if value in _SHORTCUT_EXPONENTS:
+                    result[row] = base[row] ** value
+    return result
 
 
 @dataclass(frozen=True)
@@ -107,9 +132,10 @@ class BranchBehaviour:
             raise ValueError("static_branches must be at least 1")
 
     def mispredict_rate(self, gshare_entries) -> np.ndarray | float:
-        """Misprediction probability for a gshare of the given size."""
+        """Misprediction probability for a gshare of the given size
+        (per program and size, for a :func:`stacked` behaviour)."""
         entries = np.asarray(gshare_entries, dtype=float)
-        rate = self.floor + self.scale * (entries / 1024.0) ** (-self.alpha)
+        rate = self.floor + self.scale * _power(entries / 1024.0, -self.alpha)
         return np.clip(rate, 0.0, 0.5)
 
     def btb_miss_rate(self, btb_entries) -> np.ndarray | float:
@@ -154,11 +180,12 @@ class LocalityModel:
             )
 
     def miss_ratio(self, capacity_bytes) -> np.ndarray | float:
-        """Miss ratio of a cache with the given effective capacity."""
+        """Miss ratio of a cache with the given effective capacity
+        (per program and capacity, for a :func:`stacked` model)."""
         capacity = np.asarray(capacity_bytes, dtype=float)
-        miss = np.full_like(capacity, self.cold, dtype=float)
+        miss = self.cold
         for size, weight in self.working_sets:
-            miss = miss + weight * np.exp(-((capacity / size) ** self.sharpness))
+            miss = miss + weight * np.exp(-_power(capacity / size, self.sharpness))
         return np.clip(miss, 0.0, 1.0)
 
     @property
@@ -344,3 +371,76 @@ class WorkloadProfile:
             "data_footprint_kb": self.data_locality.footprint / 1024.0,
             "mlp_max": self.mlp_max,
         }
+
+
+@functools.lru_cache(maxsize=64)
+def stacked(profiles: Tuple[WorkloadProfile, ...]) -> WorkloadProfile:
+    """P profiles as one, each numeric parameter a (P, 1) column.
+
+    The model's formulas are the profile classes' own methods
+    (:meth:`WorkloadProfile.ilp`, :meth:`BranchBehaviour.mispredict_rate`,
+    :meth:`LocalityModel.miss_ratio`, :attr:`InstructionMix.memory`, ...).
+    On the stacked profile they broadcast its (P, 1) columns against a
+    batch's configuration columns, so one pass evaluates all P programs,
+    each row bit for bit what that program's own scalars give.
+
+    Names and idiosyncrasies are kept as P-tuples.  A locality's working
+    sets are padded to the largest count among the P with weightless
+    sets, each of which adds an exact 0.0.  The stacked instances skip
+    ``__post_init__``: each of the P profiles was checked when built.
+    Cached by the profiles, so a campaign's chunks stack their suite
+    once; the columns are read-only, since every caller shares them.
+    """
+    if not profiles:
+        raise ValueError("stacking needs at least one profile")
+    kept = {
+        name: tuple(getattr(profile, name) for profile in profiles)
+        for name in ("name", "suite", "category",
+                     "idiosyncrasy_performance", "idiosyncrasy_energy")
+    }
+    return _stack(
+        profiles,
+        mix=_stack([profile.mix for profile in profiles]),
+        branches=_stack([profile.branches for profile in profiles]),
+        data_locality=_stack_locality(
+            [profile.data_locality for profile in profiles]
+        ),
+        instruction_locality=_stack_locality(
+            [profile.instruction_locality for profile in profiles]
+        ),
+        **kept,
+    )
+
+
+def _stack(instances, **given):
+    """One instance of the instances' dataclass holding, in each field,
+    ``given``'s value or else the P instances' values as a (P, 1) float
+    column."""
+    stacked_instance = object.__new__(type(instances[0]))
+    for item in fields(stacked_instance):
+        value = given.get(item.name)
+        if value is None:
+            value = np.array(
+                [getattr(instance, item.name) for instance in instances],
+                dtype=float,
+            )[:, None]
+            value.flags.writeable = False
+        object.__setattr__(stacked_instance, item.name, value)
+    return stacked_instance
+
+
+def _stack_locality(localities) -> LocalityModel:
+    """:func:`_stack` for localities: the i-th working set's size and
+    weight columns, padded with (1 byte, weight 0) sets."""
+    count = max(len(locality.working_sets) for locality in localities)
+    padded = [
+        locality.working_sets
+        + ((1.0, 0.0),) * (count - len(locality.working_sets))
+        for locality in localities
+    ]
+    columns = np.array(padded, dtype=float).transpose(1, 2, 0)[..., None]
+    columns.flags.writeable = False
+    return _stack(
+        localities,
+        working_sets=tuple((size, weight) for size, weight in columns),
+    )

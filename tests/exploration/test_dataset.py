@@ -150,3 +150,109 @@ class TestHydrate:
     def test_not_hydrated_until_computed(self, small_suite, small_dataset):
         dataset = self._fresh(small_suite, small_dataset)
         assert not dataset.hydrated("gzip", Metric.CYCLES)
+
+
+class TestOneSuiteCall:
+    """A miss simulates every program still missing the metric in one
+    ``simulate_suite`` call and never overwrites a cached metric."""
+
+    @staticmethod
+    def _counted(small_suite, small_dataset, monkeypatch, phases=1):
+        from repro.sim import IntervalSimulator
+
+        calls = []
+        original = IntervalSimulator.simulate_suite
+
+        def counted(self, profiles, configs):
+            calls.append([profile.name for profile in profiles])
+            return original(self, profiles, configs)
+
+        monkeypatch.setattr(IntervalSimulator, "simulate_suite", counted)
+        dataset = DesignSpaceDataset(
+            small_suite, small_dataset.configs[:60], small_dataset.simulator,
+            phases=phases,
+        )
+        return dataset, calls
+
+    def test_one_call_fills_every_program(self, small_suite, small_dataset,
+                                          monkeypatch):
+        dataset, calls = self._counted(small_suite, small_dataset,
+                                       monkeypatch)
+        dataset.values("applu", Metric.ENERGY)
+        assert calls == [list(small_suite.programs)]
+        for program in small_suite.programs:
+            for metric in Metric.all():
+                assert dataset.hydrated(program, metric)
+        dataset.matrix(Metric.EDD)
+        assert len(calls) == 1
+
+    def test_only_missing_programs_are_simulated(self, small_suite,
+                                                 small_dataset, monkeypatch):
+        dataset, calls = self._counted(small_suite, small_dataset,
+                                       monkeypatch)
+        for program in small_suite.programs[1:]:
+            dataset.hydrate(program, Metric.CYCLES, np.ones(len(dataset)))
+        dataset.values("gzip", Metric.CYCLES)
+        assert calls == [[small_suite.programs[0]]]
+
+    def test_a_hydrated_metric_is_not_overwritten(self, small_suite,
+                                                  small_dataset):
+        dataset = DesignSpaceDataset(
+            small_suite, small_dataset.configs[:60], small_dataset.simulator
+        )
+        hydrated = np.linspace(1.0, 2.0, len(dataset))
+        dataset.hydrate("gzip", Metric.CYCLES, hydrated)
+        energy = dataset.values("gzip", Metric.ENERGY)
+        assert np.array_equal(dataset.values("gzip", Metric.CYCLES), hydrated)
+        direct = dataset.simulator.simulate_batch(
+            small_suite["gzip"], list(dataset.configs)
+        )
+        assert np.array_equal(energy, direct.energy)
+
+    def test_values_equal_one_batch_per_program(self, small_suite,
+                                                small_dataset):
+        dataset = DesignSpaceDataset(
+            small_suite, small_dataset.configs[:60], small_dataset.simulator
+        )
+        for program in small_suite.programs:
+            direct = dataset.simulator.simulate_batch(
+                small_suite[program], list(dataset.configs)
+            )
+            cycles = dataset.values(program, Metric.CYCLES)
+            energy = dataset.values(program, Metric.ENERGY)
+            assert np.array_equal(cycles, direct.cycles)
+            assert np.array_equal(energy, direct.energy)
+            assert np.array_equal(dataset.values(program, Metric.ED),
+                                  energy * cycles)
+            assert np.array_equal(dataset.values(program, Metric.EDD),
+                                  energy * cycles * cycles)
+
+    def test_phases_share_the_call(self, small_suite, small_dataset,
+                                   monkeypatch):
+        from repro.workloads import combine_phase_metrics, decompose
+
+        dataset, calls = self._counted(small_suite, small_dataset,
+                                       monkeypatch, phases=3)
+        cycles = dataset.values("swim", Metric.CYCLES)
+        assert len(calls) == 1
+        assert len(calls[0]) == 3 * len(small_suite.programs)
+        parts = decompose(small_suite["swim"], 3)
+        rows = [
+            dataset.simulator.simulate_batch(
+                phase.profile, list(dataset.configs)
+            ).cycles
+            for phase in parts
+        ]
+        weights = np.array([phase.weight for phase in parts])
+        assert np.array_equal(
+            cycles, combine_phase_metrics(np.stack(rows), weights)
+        )
+
+    def test_an_unknown_program_raises_before_simulating(
+        self, small_suite, small_dataset, monkeypatch
+    ):
+        dataset, calls = self._counted(small_suite, small_dataset,
+                                       monkeypatch)
+        with pytest.raises(KeyError, match="doom"):
+            dataset.values("doom", Metric.CYCLES)
+        assert calls == []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.designspace import (
+    Configuration,
     DesignSpace,
     embedded_space,
     restrict,
@@ -277,3 +278,71 @@ class TestProgramDifferences:
         assert not np.allclose(a, b)
         # But only by the idiosyncrasy amplitude.
         assert np.max(np.abs(a - b) / a) < 3 * base.idiosyncrasy_performance.amplitude
+
+
+class TestPlainRows:
+    """A plain 13-tuple is a row wherever a configuration is."""
+
+    def test_a_plain_row_simulates_as_its_configuration(self, sim, configs):
+        profile = spec2000_profile("gzip")
+        rows = [config.values() for config in configs[:40]]
+        for batch in (rows, [sim.space.baseline.values()]):
+            plain = sim.simulate_batch(profile, batch)
+            named = sim.simulate_batch(profile, [Configuration(*row)
+                                                 for row in batch])
+            for metric in Metric.all():
+                assert np.array_equal(plain.metric(metric),
+                                      named.metric(metric))
+
+    def test_an_off_grid_plain_row_is_refused_with_the_same_text(
+        self, sim, baseline
+    ):
+        for bad in (baseline.replace(rob_size=33),
+                    baseline.replace(width="4"),
+                    baseline.replace(rob_size=32, iq_size=80)):
+            texts = []
+            for row in (bad, bad.values()):
+                for check in (sim.space.validate,
+                              lambda row: sim.simulate_batch(
+                                  spec2000_profile("gzip"), [baseline, row])):
+                    with pytest.raises(ValueError) as refused:
+                        check(row)
+                    texts.append(str(refused.value))
+            assert texts[0] == texts[2] and texts[1] == texts[3], texts
+
+    def test_a_row_of_another_length_is_named(self, sim, baseline):
+        short = baseline.values()[:12]
+        with pytest.raises(ValueError, match="expected 13 values, got 12"):
+            sim.space.validate(short)
+        for batch, index in (([short], 0), ([baseline, short], 1),
+                             ([baseline.values() + (1,)], 0)):
+            with pytest.raises(ValueError) as refused:
+                sim.space.validate_many(batch)
+            assert str(refused.value).startswith(
+                f"config[{index}]: expected 13 values, got"
+            )
+
+
+class TestSuitePassMemory:
+    """The suite pass runs in row blocks: its traced peak stays at or
+    below the per-program pass it replaced, which peaked at 3.27-3.43 MB
+    for 26 SPEC programs over 1,024 configurations and 9.56-10.03 MB
+    over 3,000 (the bound is the lower figure)."""
+
+    @pytest.mark.parametrize("m,parent_peak", ((1024, 3.27e6),
+                                               (3000, 9.56e6)))
+    def test_traced_peak(self, sim, m, parent_peak):
+        import tracemalloc
+
+        from repro.workloads import spec2000_suite
+
+        profiles = list(spec2000_suite().profiles)
+        configs = sample_configurations(sim.space, m, seed=2007)
+        sim.simulate_suite(profiles, configs)  # warm the draw caches
+        tracemalloc.start()
+        try:
+            sim.simulate_suite(profiles, configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_peak

@@ -2,10 +2,11 @@
 
 The simulator evaluates each term once, at the level it depends on:
 configuration-only terms in the shared column build, the
-idiosyncrasies' seeded draws once per program, and only the rest per
-program.  The reference below is the straightforward per-program
-evaluation that recomputes everything, every time, with fresh draws.
-The contract is exact (``np.array_equal``): hoisting a term must not
+idiosyncrasies' seeded draws once per program, and the rest as one
+(programs x configurations) array pass over row blocks.  The reference
+below is the straightforward per-program evaluation that recomputes
+everything, every time, with fresh draws.  The contract is exact
+(``np.array_equal``): hoisting a term or stacking the programs must not
 regroup a sum or reassociate a product.
 """
 
@@ -19,7 +20,16 @@ from repro.sim import IntervalSimulator, Metric, derive_metrics
 from repro.sim import energy as e
 from repro.sim.branch import branch_penalties
 from repro.sim.caches import hierarchy_miss_ratios
-from repro.workloads import Idiosyncrasy, mibench_suite, spec2000_suite
+from repro.sim.interval import _BLOCK_CELLS
+from repro.workloads import (
+    Idiosyncrasy,
+    LocalityModel,
+    decompose,
+    mibench_suite,
+    optimization_family,
+    spec2000_suite,
+    synthetic_suite,
+)
 
 SIZES = (1, 7, 128, 1000)
 
@@ -340,3 +350,115 @@ class TestBumpDraws:
             idiosyncrasy.factor(features),
             reference_factor(idiosyncrasy, features),
         )
+
+
+def edge_profiles():
+    """Profiles no built-in suite produces, each exercising one rule of
+    the array pass: a locality with one or three working sets (the
+    others are padded with weightless sets), idiosyncrasies with zero
+    amplitude or zero bumps, a unit class absent (``fp_mul = 0``) or
+    below the 1e-9 cut, and exponents numpy evaluates by a shortcut for
+    a scalar (``alpha = 1`` gives ``** -1.0``; sharpness 2 and 0.5)."""
+    base = spec2000_suite()["gzip"]
+    mix = base.mix
+    data, code = base.data_locality, base.instruction_locality
+    one_set = LocalityModel(working_sets=data.working_sets[:1],
+                            cold=data.cold, sharpness=data.sharpness)
+    three_sets = LocalityModel(
+        working_sets=code.working_sets + ((3.0e6, 0.01),),
+        cold=code.cold, sharpness=code.sharpness,
+    )
+    return [
+        replace(base, name="one-and-three-sets", data_locality=one_set,
+                instruction_locality=three_sets),
+        replace(base, name="three-and-one-sets", data_locality=three_sets,
+                instruction_locality=one_set),
+        replace(base, name="flat",
+                idiosyncrasy_performance=replace(
+                    base.idiosyncrasy_performance, amplitude=0.0),
+                idiosyncrasy_energy=replace(
+                    base.idiosyncrasy_energy, bumps=0)),
+        replace(base, name="no-fp-mul", mix=replace(
+            mix, fp_mul=0.0, int_alu=mix.int_alu + mix.fp_mul)),
+        replace(base, name="tiny-int-mul", mix=replace(
+            mix, int_mul=1e-10, int_alu=mix.int_alu + mix.int_mul - 1e-10)),
+        replace(base, name="shortcut-exponents",
+                branches=replace(base.branches, alpha=1.0),
+                data_locality=replace(data, sharpness=2.0),
+                instruction_locality=replace(code, sharpness=0.5)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def mixed_profiles(profiles):
+    """Edge profiles first, then synthetic programs, SimPoint-style
+    phases, optimisation variants, SPEC and MiBench."""
+    spec = spec2000_suite()
+    mixed = edge_profiles()
+    mixed += list(synthetic_suite(6, seed=11, drift=0.3).profiles)
+    mixed += [phase.profile for phase in decompose(spec["mcf"], 3)]
+    mixed += [phase.profile for phase in decompose(spec["art"], 4)]
+    mixed += list(optimization_family(spec["applu"]).values())
+    mixed += profiles
+    assert len(mixed) >= 50
+    return mixed
+
+
+def assert_suite_matches_the_oracle(sim, profiles, m, seed):
+    configs = sample_configurations(sim.space, m, seed=seed)
+    columns = reference_columns(sim.space, configs)
+    rows = sim.simulate_suite(profiles, configs)
+    assert len(rows) == len(profiles)
+    for profile, row in zip(profiles, rows):
+        cycles, energy, _ = reference_evaluate(profile, columns, sim.fixed)
+        expected = derive_metrics(cycles, energy)
+        for metric in Metric.all():
+            assert np.array_equal(row.metric(metric), expected[metric]), (
+                profile.name, metric, len(profiles), m
+            )
+
+
+class TestArrayPass:
+    """The (programs x configurations) pass over row blocks of
+    ``_BLOCK_CELLS // P`` configurations equals the per-program oracle
+    for every mix of programs, at every block edge."""
+
+    @pytest.mark.parametrize("count", (1, 2, 26, 50))
+    def test_block_edges(self, sim, mixed_profiles, count):
+        rows = _BLOCK_CELLS // count
+        for m in (rows - 1, rows, rows + 1):
+            assert_suite_matches_the_oracle(
+                sim, mixed_profiles[:count], m, seed=3000 + m
+            )
+
+    @pytest.mark.parametrize("m", (1, 7, 128))
+    def test_every_mixed_profile(self, sim, mixed_profiles, m):
+        assert_suite_matches_the_oracle(sim, mixed_profiles, m, seed=4000 + m)
+
+    @pytest.mark.parametrize("profile", edge_profiles(),
+                             ids=lambda profile: profile.name)
+    def test_each_edge_profile_alone(self, sim, profile):
+        configs = sample_configurations(sim.space, 64, seed=5)
+        columns = reference_columns(sim.space, configs)
+        cycles, energy, breakdown = reference_evaluate(
+            profile, columns, sim.fixed
+        )
+        produced = sim._evaluate(profile, sim._columns(configs))
+        assert np.array_equal(produced[0], cycles)
+        assert np.array_equal(produced[1], energy)
+        for name, values in breakdown.items():
+            assert np.array_equal(produced[2][name], values), name
+        batch = sim.simulate_batch(profile, configs)
+        expected = derive_metrics(cycles, energy)
+        for metric in Metric.all():
+            assert np.array_equal(batch.metric(metric), expected[metric])
+
+    def test_a_programs_row_does_not_depend_on_its_neighbours(
+        self, sim, mixed_profiles
+    ):
+        configs = sample_configurations(sim.space, 300, seed=6)
+        together = sim.simulate_suite(mixed_profiles, configs)
+        for profile, row in zip(mixed_profiles[::7], together[::7]):
+            alone = sim.simulate_batch(profile, configs)
+            for metric in Metric.all():
+                assert np.array_equal(row.metric(metric), alone.metric(metric))

@@ -59,3 +59,46 @@ class TestPublicApi:
             env={**os.environ, "PYTHONPATH": str(src_dir)},
         )
         assert probe.stdout.strip() == "False"
+
+
+class TestLazyTopLevel:
+    """``repro`` resolves its re-exports on first access, so a campaign
+    process compiles no predictor, serving or analysis code."""
+
+    def test_campaign_imports_load_no_predictor_stack(self):
+        import ast
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src_dir = pathlib.Path(repro.__file__).resolve().parents[1]
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "import repro.designspace, repro.obs, repro.runtime, "
+             "repro.sim, repro.workloads\n"
+             "print(sorted({m.split('.')[1] for m in sys.modules "
+             "if m.startswith('repro.')}))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src_dir)},
+        )
+        loaded = set(ast.literal_eval(probe.stdout))
+        assert loaded >= {"designspace", "obs", "runtime", "sim", "workloads"}
+        assert not loaded & {"core", "ml", "exploration", "serve", "search",
+                             "analysis"}, loaded
+
+    def test_every_name_is_the_subpackages_object(self):
+        import importlib
+
+        for name in repro.__all__:
+            module = importlib.import_module(repro._EXPORTS[name])
+            assert getattr(repro, name) is getattr(module, name), name
+        assert set(repro.__all__) <= set(dir(repro))
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        import pytest
+
+        with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
+            repro.nonsense  # noqa: B018
+        assert not hasattr(repro, "_nonsense")

@@ -197,3 +197,67 @@ class TestWorkloadProfile:
             profile.with_overrides(mlp_max=0.5)
         with pytest.raises(ValueError):
             profile.with_overrides(instructions=0)
+
+
+class TestStacked:
+    """A stacked profile's formulas give, row by row, each program's
+    own scalar evaluation bit for bit, at arbitrary (off-grid) inputs."""
+
+    @staticmethod
+    def _profiles():
+        from dataclasses import replace
+
+        base = spec2000_profile("gzip")
+        data, code = base.data_locality, base.instruction_locality
+        profiles = []
+        for index, (alpha, sharpness, sets) in enumerate((
+            (1.0, 2.0, 1), (0.5, 0.5, 3), (0.7, 1.0, 2), (1.3, 1.7, 2),
+            (1.0, 0.5, 3), (0.9, 2.0, 1),
+        )):
+            working_sets = (data.working_sets + ((3.0e6, 0.01),))[:sets]
+            profiles.append(replace(
+                spec2000_profile(("gzip", "mcf", "art", "swim")[index % 4]),
+                branches=replace(base.branches, alpha=alpha),
+                data_locality=LocalityModel(working_sets=working_sets,
+                                            cold=data.cold,
+                                            sharpness=sharpness),
+                instruction_locality=replace(code, sharpness=3.0 - sharpness),
+            ))
+        return profiles
+
+    def test_rows_equal_each_programs_scalars(self):
+        from repro.workloads.profile import stacked
+
+        profiles = self._profiles()
+        together = stacked(tuple(profiles))
+        rng = np.random.default_rng(4)
+        capacity = rng.uniform(2e3, 8e6, size=700)
+        entries = rng.uniform(500.0, 40000.0, size=700)
+        window = rng.uniform(1.0, 200.0, size=700)
+        for row, profile in enumerate(profiles):
+            for stacked_value, own in (
+                (together.data_locality.miss_ratio(capacity),
+                 profile.data_locality.miss_ratio(capacity)),
+                (together.instruction_locality.miss_ratio(capacity),
+                 profile.instruction_locality.miss_ratio(capacity)),
+                (together.branches.mispredict_rate(entries),
+                 profile.branches.mispredict_rate(entries)),
+                (together.branches.btb_miss_rate(entries),
+                 profile.branches.btb_miss_rate(entries)),
+                (together.ilp(window), profile.ilp(window)),
+            ):
+                assert np.array_equal(stacked_value[row], own), profile.name
+            assert together.mix.memory[row, 0] == profile.mix.memory
+
+    def test_columns_are_read_only_and_cached(self):
+        from repro.workloads.profile import stacked
+
+        profiles = tuple(self._profiles())
+        together = stacked(profiles)
+        assert stacked(profiles) is together
+        assert together.name == tuple(p.name for p in profiles)
+        for column in (together.ilp_max, together.mix.load,
+                       together.data_locality.working_sets[0][0]):
+            assert column.shape == (len(profiles), 1)
+            with pytest.raises(ValueError):
+                column[0, 0] = 1.0
